@@ -18,7 +18,7 @@ from enum import Enum
 from .errors import ConfigError
 from .harness.bank import PolicyKind
 from .harness.scenario import ParentJob, ScenarioConfig
-from .hostsim import FundingMode, HostSimConfig, SchedulerKind, WorkloadKind, WorkloadSpec
+from .hostsim import FundingMode, HostSimConfig, SchedulerKind, WorkloadSpec
 from .market import Behavior, MarketConfig
 from .sched.types import PriceMode
 
@@ -142,8 +142,6 @@ def build_host_config(block: dict, seed: int | None = None) -> HostSimConfig:
         if web is None:
             raise ConfigError("host.web must be a JSON object")
         _check_keys(web, _field_names(WorkloadSpec), "host.web")
-        if "kind" in web:
-            web["kind"] = _coerce_enum(WorkloadKind, web["kind"], "host.web.kind")
         kwargs["web"] = WorkloadSpec(**web)
     if "weights" in kwargs:
         kwargs["weights"] = tuple(kwargs["weights"])

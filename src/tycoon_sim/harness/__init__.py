@@ -10,17 +10,17 @@ one deterministic in-process message network.
 from .messages import Message, MessageKind, Network
 from .bank import (BankLedger, FundingPolicy, PolicyKind, bank_transfer,
                    apply_funding_policy)
-from .sls import ServiceLocator, SLSEntry, sls_advertise, sls_lookup
+from .sls import ServiceLocator, SLSEntry
 from .agents import (ParentAgentSpec, ChildAgentState, parent_budget,
-                     parent_monitor_and_replace, child_fund_auctioneer)
+                     parent_monitor_and_replace)
 from .scenario import ScenarioConfig, ScenarioReport, ParentJob, run_harness_scenario
 
 __all__ = [
     "Message", "MessageKind", "Network",
     "BankLedger", "FundingPolicy", "PolicyKind", "bank_transfer",
     "apply_funding_policy",
-    "ServiceLocator", "SLSEntry", "sls_advertise", "sls_lookup",
+    "ServiceLocator", "SLSEntry",
     "ParentAgentSpec", "ChildAgentState", "parent_budget",
-    "parent_monitor_and_replace", "child_fund_auctioneer",
+    "parent_monitor_and_replace",
     "ScenarioConfig", "ScenarioReport", "ParentJob", "run_harness_scenario",
 ]

@@ -11,8 +11,7 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from ..errors import InsufficientBalanceError, InvalidSpecError
-from .bank import BankLedger, bank_transfer
+from ..errors import InvalidSpecError
 
 
 @dataclass
@@ -29,6 +28,8 @@ class ChildAgentState:
     funds_held: float = 0.0   # credits currently at the auctioneer
     progress: float = 0.0     # work units completed so far
     cost: float = 0.0         # credits spent so far
+    key: str = ""             # the parent's name for this child
+    last_report: float = 0.0  # time of the last progress report
 
 
 def parent_budget(spec: ParentAgentSpec) -> float:
@@ -70,21 +71,3 @@ def parent_monitor_and_replace(children: list, threshold: float,
         pick = free.pop(int(rng.integers(len(free))))
         actions.append((child, pick))
     return actions
-
-
-def child_fund_auctioneer(child: ChildAgentState, ledger: BankLedger,
-                          lump: int, parent_account: str,
-                          escrow_account: str) -> bool:
-    """Move a lump (micro-credits) from the parent into host escrow.
-
-    Returns False when the parent cannot cover the lump; the child is
-    then starving and it is the caller's job to report that, not crash.
-    """
-    if lump == 0:
-        return False
-    try:
-        bank_transfer(ledger, parent_account, escrow_account, lump)
-    except InsufficientBalanceError:
-        return False
-    child.funds_held += lump / 1_000_000
-    return True

@@ -9,11 +9,11 @@ and is deterministic per seed.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, InsufficientBalanceError
+from ..errors import ConfigError, InsufficientBalanceError, UnknownAccountError
 from ..sched.auction import AuctionShareScheduler
 from ..sched.types import AgentAccount, PriceMode, SchedulerConfig
 from .agents import (ChildAgentState, ParentAgentSpec, parent_budget,
@@ -72,6 +72,10 @@ class ScenarioConfig:
             raise ConfigError("duration and timeslice must be > 0")
         if not 0 < self.refresh_fraction < 1:
             raise ConfigError("refresh_fraction must be in (0,1)")
+        for _, host in self.kill_hosts:
+            if not 0 <= host < self.num_hosts:
+                raise ConfigError(
+                    f"kill_hosts index {host} outside 0..{self.num_hosts - 1}")
 
 
 @dataclass
@@ -89,6 +93,19 @@ class ScenarioReport:
     messages_dropped: int
 
 
+@dataclass(slots=True)
+class _Seat:
+    """One child's place at a host: its bidding account and escrow books."""
+
+    agent: AgentAccount
+    escrow: str               # bank account holding the child's funds
+    progress: float = 0.0
+    spent: float = 0.0
+    settled_micro: int = 0    # spend already moved to the provider
+    activate_at: float = 0.0
+    active: bool = False
+
+
 class _HostNode:
     """One provider: an auction scheduler plus escrow settlement."""
 
@@ -103,47 +120,47 @@ class _HostNode:
             timeslice_length=sim.config.timeslice_length,
             price_mode=sim.config.price_mode))
         self.alive = True
-        self.children: dict[str, dict] = {}
+        self.children: dict[str, _Seat] = {}
+        self._by_agent: dict[int, _Seat] = {}
         self._tombstones: set[str] = set()
         self._next_agent_id = 0
         self.slices_alive = 0
         self.slices_won = 0
 
-    def _ensure_child(self, child_key: str) -> dict:
+    def _ensure_child(self, child_key: str) -> _Seat:
         # Funding can arrive ahead of the spawn message; open the seat
         # with placeholder terms and let SPAWN_CHILD fill them in.
-        rec = self.children.get(child_key)
-        if rec is None:
+        seat = self.children.get(child_key)
+        if seat is None:
             chunk = self.sim.config.funding_chunk_minutes * 60.0
             agent = AgentAccount(
                 agent_id=self._next_agent_id, balance=0.0,
-                expected_funding_interval=chunk,
                 requested_cpu_seconds=chunk / self.sim.config.timeslice_length)
             self._next_agent_id += 1
             self.sched.add_agent(agent, runnable=False)
-            rec = {"agent": agent, "progress": 0.0, "spent": 0.0,
-                   "settled_micro": 0, "activate_at": 0.0, "active": False}
-            self.children[child_key] = rec
-        return rec
+            seat = _Seat(agent, f"escrow:{self.index}:{child_key}")
+            self.children[child_key] = seat
+            self._by_agent[agent.agent_id] = seat
+        return seat
 
     def handle(self, msg) -> None:
         kind, p = msg.kind, msg.payload
         if kind is MessageKind.SPAWN_CHILD:
-            rec = self._ensure_child(p["child_key"])
-            rec["activate_at"] = p["activate_at"]
+            self._ensure_child(p["child_key"]).activate_at = p["activate_at"]
         elif kind is MessageKind.FUND_AUCTIONEER:
             if p["child_key"] in self._tombstones:
                 # Funding raced a kill; the credits stay parked in the
                 # escrow account where the sweep can still collect them.
                 return
-            rec = self._ensure_child(p["child_key"])
-            self.sched.fund(rec["agent"].agent_id,
+            seat = self._ensure_child(p["child_key"])
+            self.sched.fund(seat.agent.agent_id,
                             micro_to_credits(p["amount"]))
         elif kind is MessageKind.KILL_CHILD:
             self._tombstones.add(p["child_key"])
-            rec = self.children.pop(p["child_key"], None)
-            if rec is not None:
-                self.sched.set_runnable(rec["agent"].agent_id, False)
+            seat = self.children.pop(p["child_key"], None)
+            if seat is not None:
+                del self._by_agent[seat.agent.agent_id]
+                self.sched.set_runnable(seat.agent.agent_id, False)
         elif kind is MessageKind.QUERY_PROGRESS:
             self.sim.network.send(
                 self.sim.now, self.host_id, msg.sender,
@@ -152,41 +169,40 @@ class _HostNode:
                  **self._stats(p["child_key"])})
 
     def _stats(self, child_key: str) -> dict:
-        rec = self.children.get(child_key)
-        if rec is None:
-            return {"progress": 0.0, "cost": 0.0, "funds": 0.0,
-                    "known": False}
-        return {"progress": rec["progress"], "spent": rec["spent"],
-                "funds": rec["agent"].balance, "known": True}
+        seat = self.children.get(child_key)
+        if seat is None:
+            # The parent drops reports about children the host never met.
+            return {"known": False}
+        return {"progress": seat.progress, "spent": seat.spent,
+                "funds": seat.agent.balance, "known": True}
 
     def run_slice(self) -> None:
         if not self.alive:
             return
         now = self.sim.now
-        for key, rec in self.children.items():
-            if not rec["active"] and now >= rec["activate_at"]:
-                rec["active"] = True
-                self.sched.set_runnable(rec["agent"].agent_id, True)
+        for seat in self.children.values():
+            if not seat.active and now >= seat.activate_at:
+                seat.active = True
+                self.sched.set_runnable(seat.agent.agent_id, True)
         self.slices_alive += 1
         result = self.sched.run_slice()
         if result.winner is None:
             return
         self.slices_won += 1
-        for key, rec in self.children.items():
-            if rec["agent"].agent_id == result.winner:
-                rec["progress"] += self.speed * self.sim.config.timeslice_length
-                rec["spent"] += result.payment
-                # Settle whole micro-credits of the spend into the
-                # provider account; the fractional tail stays in escrow.
-                due = int(math.floor(rec["spent"] * MICRO))
-                delta = due - rec["settled_micro"]
-                if delta > 0:
-                    rec["settled_micro"] = due
-                    self.sim.network.send(
-                        now, self.host_id, "bank", MessageKind.TRANSFER,
-                        {"from": f"escrow:{self.index}:{key}",
-                         "to": self.provider_account, "amount": delta})
-                break
+        # Only seated, activated agents are runnable, so the winner has a seat.
+        seat = self._by_agent[result.winner]
+        seat.progress += self.speed * self.sim.config.timeslice_length
+        seat.spent += result.payment
+        # Settle whole micro-credits of the spend into the provider
+        # account; the fractional tail stays in escrow.
+        due = int(math.floor(seat.spent * MICRO))
+        delta = due - seat.settled_micro
+        if delta > 0:
+            seat.settled_micro = due
+            self.sim.network.send(
+                now, self.host_id, "bank", MessageKind.TRANSFER,
+                {"from": seat.escrow, "to": self.provider_account,
+                 "amount": delta})
 
     def advertise(self) -> None:
         if self.alive:
@@ -218,9 +234,8 @@ class _ParentNode:
         self.lump_micro = credits_to_micro(
             self.rate_per_host_min * sim.config.funding_chunk_minutes)
         self.remaining_micro = credits_to_micro(job.total_credits)
-        self.children: dict[str, dict] = {}
+        self.children: dict[str, ChildAgentState] = {}
         self.retired_progress = 0.0
-        self.retired_spent = 0.0
         self.known_hosts: list[str] = []
         self.starvation_events = 0
         self.funded_micro = 0
@@ -237,15 +252,15 @@ class _ParentNode:
                 self._provisioned = True
                 self._initial_placement()
         elif kind is MessageKind.PROGRESS_REPORT:
-            rec = self.children.get(p["child_key"])
-            if rec is None or not p.get("known", False):
+            child = self.children.get(p["child_key"])
+            if child is None or not p["known"]:
                 return
-            rec["state"].progress = p["progress"]
-            rec["state"].cost = p["spent"]
-            rec["state"].funds_held = p["funds"]
-            rec["last_report"] = self.sim.now
+            child.progress = p["progress"]
+            child.cost = p["spent"]
+            child.funds_held = p["funds"]
+            child.last_report = self.sim.now
             if p["funds"] * MICRO < self.lump_micro * self.sim.config.refresh_fraction:
-                self._fund(p["child_key"], rec["state"].host)
+                self._fund(child.key, child.host)
         elif kind is MessageKind.TRANSFER:
             # Receipt for an escrow sweep the bank performed for us.
             self.remaining_micro += p["amount"]
@@ -263,10 +278,8 @@ class _ParentNode:
     def _spawn_child(self, host: str, activate_at: float) -> None:
         key = f"{self.parent_id}/c{self._child_serial}"
         self._child_serial += 1
-        self.children[key] = {
-            "state": ChildAgentState(host=host),
-            "last_report": self.sim.now,
-        }
+        self.children[key] = ChildAgentState(host=host, key=key,
+                                             last_report=self.sim.now)
         self._fund(key, host)
         self.sim.network.send(self.sim.now, self.parent_id, host,
                               MessageKind.SPAWN_CHILD,
@@ -285,9 +298,8 @@ class _ParentNode:
                                "amount": self.lump_micro})
 
     def monitor_query(self) -> None:
-        for key, rec in self.children.items():
-            self.sim.network.send(self.sim.now, self.parent_id,
-                                  rec["state"].host,
+        for key, child in self.children.items():
+            self.sim.network.send(self.sim.now, self.parent_id, child.host,
                                   MessageKind.QUERY_PROGRESS,
                                   {"child_key": key})
         self.sim.network.send(self.sim.now, self.parent_id, "sls",
@@ -299,39 +311,35 @@ class _ParentNode:
             return
         self._decide_pending = False
         now = self.sim.now
-        dead = [key for key, rec in self.children.items()
-                if now - rec["last_report"] > self.sim.config.report_timeout]
-        survivors = [rec["state"] for key, rec in self.children.items()
+        dead = [key for key, child in self.children.items()
+                if now - child.last_report > self.sim.config.report_timeout]
+        survivors = [child for key, child in self.children.items()
                      if key not in dead]
         theta_actions = parent_monitor_and_replace(
             survivors, self.spec.performance_cost_threshold,
             self._free_hosts(), self.sim.rng)
-        state_to_key = {id(rec["state"]): key
-                        for key, rec in self.children.items()}
         moves = [(key, None, "timeout") for key in dead]
-        moves += [(state_to_key[id(child)], host, "slow")
-                  for child, host in theta_actions]
+        moves += [(child.key, host, "slow") for child, host in theta_actions]
         for key, new_host, reason in moves:
             self._replace(key, reason, new_host)
 
     def _free_hosts(self) -> list:
-        in_use = {rec["state"].host for rec in self.children.values()}
+        in_use = {child.host for child in self.children.values()}
         return [h for h in self.known_hosts if h not in in_use]
 
     def _replace(self, child_key: str, reason: str,
                  new_host: str | None) -> None:
-        rec = self.children.pop(child_key)
-        old_host = rec["state"].host
+        child = self.children.pop(child_key)
+        old_host = child.host
         if new_host is None:
             # Timeout path: pick here, never re-picking the host being
             # abandoned even though it just became technically free.
             free = [h for h in self._free_hosts() if h != old_host]
             if not free:
-                self.children[child_key] = rec
+                self.children[child_key] = child
                 return
             new_host = free[int(self.sim.rng.integers(len(free)))]
-        self.retired_progress += rec["state"].progress
-        self.retired_spent += rec["state"].cost
+        self.retired_progress += child.progress
         self.sim.network.send(self.sim.now, self.parent_id, old_host,
                               MessageKind.KILL_CHILD,
                               {"child_key": child_key})
@@ -348,7 +356,7 @@ class _ParentNode:
                           + self.sim.config.migration_overhead)
 
     def work_done(self) -> float:
-        live = sum(rec["state"].progress for rec in self.children.values())
+        live = sum(child.progress for child in self.children.values())
         return self.retired_progress + live
 
 
@@ -382,7 +390,9 @@ class _BankNode:
                 amount = ledger.accounts.get(p["from"], 0)
             try:
                 bank_transfer(ledger, p["from"], p["to"], amount)
-            except (InsufficientBalanceError, KeyError):
+            except (InsufficientBalanceError, UnknownAccountError):
+                # An escrow whose funding was dropped never opened, so
+                # its reclaim has nothing to move.
                 self.sim.rejected_transfers += 1
                 return
             if p.get("receipt_to") and amount:
@@ -495,7 +505,11 @@ class HarnessSim:
             for host in self.hosts:
                 host.run_slice()
             if cfg.audit_every_slice:
-                assert self.ledger.total_balance() == self.ledger.total_issued
+                balances = self.ledger.total_balance()
+                if balances != self.ledger.total_issued:
+                    raise RuntimeError(
+                        f"ledger out of balance at t={self.now}: balances "
+                        f"sum to {balances}, issued {self.ledger.total_issued}")
         self.now = total * dt
         self.network.pump(self.now)
         # Close the books on fresh numbers: one last progress round.

@@ -20,6 +20,8 @@ class SLSEntry:
 
 class ServiceLocator:
     def __init__(self):
+        # One entry per host, overwritten on re-advertise, so expired
+        # entries never accumulate and need no pruning.
         self._entries: dict[str, SLSEntry] = {}
 
     def advertise(self, host: str, resources: dict, ttl: float,
@@ -35,16 +37,3 @@ class ServiceLocator:
         if criteria is not None:
             live = [e for e in live if criteria(e)]
         return sorted(live, key=lambda e: e.host)
-
-    def prune(self, now: float) -> None:
-        self._entries = {h: e for h, e in self._entries.items()
-                         if e.expires_at > now}
-
-
-def sls_advertise(registry: ServiceLocator, host: str, resources: dict,
-                  ttl: float, now: float) -> None:
-    registry.advertise(host, resources, ttl, now)
-
-
-def sls_lookup(registry: ServiceLocator, criteria, now: float) -> list:
-    return registry.lookup(now, criteria)

@@ -35,11 +35,6 @@ class SchedulerKind(Enum):
     AUCTION_SHARE = "auction_share"
 
 
-class WorkloadKind(Enum):
-    WEB_SERVER = "web_server"
-    BATCH = "batch"
-
-
 class FundingMode(Enum):
     """How auction agents receive income.
 
@@ -63,7 +58,6 @@ class WorkloadSpec:
     server is described by its request stream and yielding behavior.
     """
 
-    kind: WorkloadKind = WorkloadKind.WEB_SERVER
     request_probability: float = 0.1
     service_demand: float = 0.010
     yields_cpu: bool = True
@@ -368,7 +362,6 @@ def _run_auction(config, arrivals, offsets, funding_seed, queue, slice_counts):
             AgentAccount(
                 agent_id=pid,
                 balance=start_balance,
-                expected_funding_interval=interval,
                 requested_cpu_seconds=wanted_fraction * slices_per_interval,
             ),
             runnable=not (pid == 0 and config.web.yields_cpu),

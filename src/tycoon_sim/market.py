@@ -113,7 +113,6 @@ class MarketConfig:
 class UtilityResult:
     mean_interarrival: float
     mean_utility_per_host_per_time_unit: float
-    per_behavior: dict
     utility_stddev: float = 0.0
     num_seeds: int = 1
 
@@ -238,7 +237,6 @@ class MarketSim:
             }
         self._next_arrival = 0
         self.total_utility = 0.0
-        self.utility_by_user = [0.0] * config.num_users
 
     def _weights_for(self, active: list, now: float) -> list:
         cfg = self.config
@@ -292,9 +290,7 @@ class MarketSim:
                 finished = [t for t in active if t.completed]
                 for t in finished:
                     t.completion_time = now + 1.0
-                    gained = accrue_utility(t, t.completion_time)
-                    self.total_utility += gained
-                    self.utility_by_user[t.owner] += gained
+                    self.total_utility += accrue_utility(t, t.completion_time)
                 active = [t for t in active if not t.completed]
         return self._result()
 
@@ -332,7 +328,6 @@ class MarketSim:
         return UtilityResult(
             mean_interarrival=cfg.mean_task_interarrival,
             mean_utility_per_host_per_time_unit=mean_util,
-            per_behavior={cfg.behavior.value: mean_util},
         )
 
 
@@ -364,7 +359,6 @@ def sweep_load(config: MarketConfig, interarrival_values,
         results.append(UtilityResult(
             mean_interarrival=float(ia),
             mean_utility_per_host_per_time_unit=mean,
-            per_behavior={config.behavior.value: mean},
             utility_stddev=stddev,
             num_seeds=num_seeds,
         ))

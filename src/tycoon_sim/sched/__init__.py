@@ -1,8 +1,4 @@
-"""Core scheduling algorithms: the timeslice auction and proportional share.
-
-``auction`` and ``proportional`` both expose a ``select_winner``; import
-the modules rather than the bare names to keep call sites unambiguous.
-"""
+"""Core scheduling algorithms: the timeslice auction and proportional share."""
 
 from . import auction, proportional
 from .auction import AuctionShareScheduler, SliceResult

@@ -12,9 +12,8 @@ reserved fraction on target over its period.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..errors import (
     CapacityRejection,
@@ -43,25 +42,6 @@ def pending_reservation(reservations: Sequence[Reservation]) -> Reservation | No
     if not behind:
         return None
     return min(behind, key=lambda r: r.accepted_at)
-
-
-def select_winner(
-    runnable: Iterable[AgentAccount],
-    reservations: Sequence[Reservation] = (),
-):
-    """Winner of the next slice: an agent id, or None when the CPU idles.
-
-    A reservation behind its target preempts the spot market.  Otherwise
-    the highest bidder wins, ties going to the lowest agent id.
-    """
-    res = pending_reservation(reservations)
-    if res is not None:
-        return res.agent_id
-    heap = BidHeap()
-    for account in runnable:
-        heap.push(account.agent_id, compute_bid(account))
-    top = heap.peek()
-    return None if top is None else top[0]
 
 
 def charge(

@@ -114,10 +114,3 @@ class BidHeap:
         if i <= last - 1:
             self._sift_down(i)
             self._sift_up(i)
-
-    def pop(self):
-        top = self.peek()
-        if top is None:
-            return None
-        self.remove(top[0])
-        return top

@@ -9,23 +9,10 @@ to the lowest process id.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from ..errors import UndefinedShareError, UnknownProcessError
 from .types import PSProcess
-
-
-def share(processes: Sequence[PSProcess], process_id) -> float:
-    """Target long-run CPU share of one process: weight over total weight."""
-    total = 0.0
-    target = None
-    for p in processes:
-        total += p.weight
-        if p.process_id == process_id:
-            target = p
-    if target is None:
-        raise UnknownProcessError(f"no process {process_id!r}")
-    return target.weight / total
 
 
 def select_winner(runnable: Iterable[PSProcess]) -> PSProcess | None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -27,7 +27,6 @@ class AgentAccount:
 
     agent_id: int | str
     balance: float
-    expected_funding_interval: float = 1.0
     requested_cpu_seconds: float = 1.0
 
 
@@ -102,9 +101,6 @@ class PriceStats:
             return 0.0
         var = (self._sumsq - self._sum * self._sum / n) / (n - 1)
         return math.sqrt(max(var, 0.0))
-
-    def snapshot(self) -> list[float]:
-        return list(self._window)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from tycoon_sim.harness.scenario import ParentJob, ScenarioConfig, run_harness_s
 from tycoon_sim.errors import InsufficientBalanceError, InvalidAmountError
 from tycoon_sim.hostsim import comparison_rows, run_host_sim
 from tycoon_sim.market import Behavior, MarketConfig, sweep_load
-from tycoon_sim.sched.auction import reservation_quote, select_winner
+from tycoon_sim.sched.auction import AuctionShareScheduler, reservation_quote
 from tycoon_sim.sched.proportional import advance
 from tycoon_sim.sched.proportional import select_winner as ps_select
 from tycoon_sim.sched.types import (
@@ -185,7 +185,11 @@ def test_criterion_4_selection_exactness_and_share_accuracy():
                          requested_cpu_seconds=float(rng.integers(1, 6)))
             for i in range(n)
         ]
-        if select_winner(accounts) != brute_force_winner(accounts):
+        expected = brute_force_winner(accounts)  # before the round charges
+        sched = AuctionShareScheduler()
+        for acct in accounts:
+            sched.add_agent(acct)
+        if sched.run_slice().winner != expected:
             mismatches += 1
 
     weights = (1, 2, 3, 4)

@@ -32,10 +32,12 @@ def test_pop_yields_full_sorted_order():
         heap.push(agent, bid)
     drained = []
     while len(heap):
-        drained.append(heap.pop())
+        top = heap.peek()
+        heap.remove(top[0])
+        drained.append(top)
     expected = sorted(entries.items(), key=lambda kv: (-kv[1], kv[0]))
     assert drained == expected
-    assert heap.pop() is None
+    assert heap.peek() is None
 
 
 def test_update_rekeys_against_oracle():
@@ -109,7 +111,8 @@ def max_op_comparisons(n: int, seed: int) -> int:
         heap.update(agent, float(rng.random()))
         worst = max(worst, heap.comparisons - before)
         before = heap.comparisons
-        top = heap.pop()
+        top = heap.peek()
+        heap.remove(top[0])
         heap.push(top[0], float(rng.random()))
         worst = max(worst, heap.comparisons - before)
     return worst

@@ -103,6 +103,8 @@ def test_unknown_keys_rejected_everywhere():
         validate_config({"typo_key": 1})
     with pytest.raises(ConfigError, match="host"):
         validate_config({"host": {"nope": 1}})
+    with pytest.raises(ConfigError, match="host.web: kind"):
+        validate_config({"host": {"web": {"kind": "web_server"}}})
     with pytest.raises(ConfigError, match="market"):
         validate_config({"market": {"nope": 1}})
     with pytest.raises(ConfigError, match="harness"):
@@ -167,6 +169,19 @@ def test_harness_block_coercions():
         build_harness_config({"kill_hosts": [[10.0]]})
     with pytest.raises(ConfigError):
         build_harness_config({"parents": [{"bogus": 1}]})
+
+
+def test_kill_hosts_must_name_an_existing_host(tmp_path, capsys):
+    for index in (99, -1):
+        with pytest.raises(ConfigError, match="kill_hosts index"):
+            validate_config({"harness": {"num_hosts": 3,
+                                         "kill_hosts": [[1.0, index]]}})
+    validate_config({"harness": {"num_hosts": 3, "kill_hosts": [[1.0, 2]]}})
+    conf = write_json(tmp_path, {"harness": {"num_hosts": 3,
+                                             "kill_hosts": [[1.0, 99]]}})
+    assert cli.main(["run", "--experiment", "harness", "--config", conf,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "kill_hosts index 99" in capsys.readouterr().err
 
 
 def test_wrong_typed_value_is_a_config_error():

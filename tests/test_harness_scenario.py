@@ -6,6 +6,7 @@ import pytest
 
 from tycoon_sim.errors import ConfigError
 from tycoon_sim.harness.bank import MICRO, PolicyKind, credits_to_micro
+from tycoon_sim.harness.messages import MessageKind
 from tycoon_sim.harness.scenario import (
     HarnessSim,
     ParentJob,
@@ -49,8 +50,7 @@ def test_spend_equals_revenue_and_escrow_closes_the_books():
                                 num_hosts=1),))
     sim = HarnessSim(cfg)
     report = sim.run()
-    (child,) = [rec["state"]
-                for rec in sim.parents[0].children.values()]
+    (child,) = sim.parents[0].children.values()
     revenue_micro = sim.ledger.balance("provider:0")
     assert revenue_micro == math.floor(child.cost * MICRO)
     escrow_micro = sum(balance for account, balance
@@ -161,6 +161,26 @@ def test_per_slice_audit_scenario():
     cfg = scenario(duration=5.0, audit_every_slice=True)
     report = run_harness_scenario(cfg)
     assert report.ledger_ok
+
+
+def test_per_slice_audit_trips_on_an_unbalanced_ledger():
+    sim = HarnessSim(scenario(duration=1.0, audit_every_slice=True))
+    sim.ledger.accounts["provider:0"] += 1  # a credit nobody issued
+    with pytest.raises(RuntimeError, match="balances sum to"):
+        sim.run()
+
+
+def test_reclaim_from_an_unopened_escrow_is_a_rejected_transfer():
+    # A dropped FUND_AUCTIONEER means the bank never opened the escrow
+    # account that the replacement's reclaim TRANSFER sweeps.
+    sim = HarnessSim(scenario())
+    sim.network.send(0.0, "parent:0", "bank", MessageKind.TRANSFER,
+                     {"from": "escrow:0:parent:0/c0", "to": "user:0",
+                      "amount": None, "receipt_to": "parent:0"})
+    sim.network.pump(0.0)
+    assert sim.rejected_transfers == 1
+    assert sim.parents[0].reclaimed_micro == 0
+    assert sim.ledger.total_balance() == sim.ledger.total_issued
 
 
 def test_config_rejects_nonsense():

@@ -13,7 +13,6 @@ from tycoon_sim.errors import (
 from tycoon_sim.harness.agents import (
     ChildAgentState,
     ParentAgentSpec,
-    child_fund_auctioneer,
     parent_budget,
     parent_monitor_and_replace,
 )
@@ -28,7 +27,7 @@ from tycoon_sim.harness.bank import (
     micro_to_credits,
 )
 from tycoon_sim.harness.messages import MessageKind, Network
-from tycoon_sim.harness.sls import ServiceLocator, sls_advertise, sls_lookup
+from tycoon_sim.harness.sls import ServiceLocator
 
 
 # -- bank -------------------------------------------------------------------
@@ -190,35 +189,14 @@ def test_replacement_prefers_unused_hosts():
     assert moves[0][1] in {"host:7", "host:8"}
 
 
-def test_child_funding_moves_the_lump():
-    ledger = BankLedger()
-    ledger.create_account("parent", 5 * MICRO)
-    ledger.create_account("escrow")
-    child = ChildAgentState(host="host:0")
-    assert child_fund_auctioneer(child, ledger, 2 * MICRO, "parent", "escrow")
-    assert ledger.balance("escrow") == 2 * MICRO
-    assert child.funds_held == pytest.approx(2.0)
-
-
-def test_child_funding_fails_gracefully():
-    ledger = BankLedger()
-    ledger.create_account("parent", 1)
-    ledger.create_account("escrow")
-    child = ChildAgentState(host="host:0")
-    assert not child_fund_auctioneer(child, ledger, 0, "parent", "escrow")
-    assert not child_fund_auctioneer(child, ledger, 10, "parent", "escrow")
-    assert ledger.balance("parent") == 1
-    assert child.funds_held == 0.0
-
-
 # -- service location service --------------------------------------------------
 
 
 def test_advertise_and_lookup():
     reg = ServiceLocator()
-    sls_advertise(reg, "host:1", {"cpu": 1.0}, ttl=5.0, now=0.0)
-    sls_advertise(reg, "host:0", {"cpu": 0.5}, ttl=5.0, now=0.0)
-    hosts = [e.host for e in sls_lookup(reg, None, now=1.0)]
+    reg.advertise("host:1", {"cpu": 1.0}, ttl=5.0, now=0.0)
+    reg.advertise("host:0", {"cpu": 0.5}, ttl=5.0, now=0.0)
+    hosts = [e.host for e in reg.lookup(now=1.0)]
     assert hosts == ["host:0", "host:1"]  # sorted, both live
 
 
@@ -251,15 +229,8 @@ def test_lookup_criteria_filter():
     reg = ServiceLocator()
     reg.advertise("small", {"cpu": 0.2}, ttl=9.0, now=0.0)
     reg.advertise("big", {"cpu": 2.0}, ttl=9.0, now=0.0)
-    fast = sls_lookup(reg, lambda e: e.resources["cpu"] > 1, now=1.0)
+    fast = reg.lookup(now=1.0, criteria=lambda e: e.resources["cpu"] > 1)
     assert [e.host for e in fast] == ["big"]
-
-
-def test_prune_drops_expired_state():
-    reg = ServiceLocator()
-    reg.advertise("host:0", {}, ttl=1.0, now=0.0)
-    reg.prune(now=2.0)
-    assert reg._entries == {}
 
 
 def test_nonpositive_ttl_rejected():

@@ -7,7 +7,6 @@ from tycoon_sim.sched.proportional import (
     advance,
     scheduling_error,
     select_winner,
-    share,
 )
 from tycoon_sim.sched.types import PSProcess
 
@@ -23,14 +22,6 @@ def run_sequence(processes, slices, dt=0.010):
         advance(p, dt)
         winners.append(p.process_id)
     return winners
-
-
-def test_share_is_weight_fraction():
-    ps = procs(1, 3)
-    assert share(ps, 0) == 0.25
-    assert share(ps, 1) == 0.75
-    with pytest.raises(UnknownProcessError):
-        share(ps, 9)
 
 
 def test_winner_has_minimum_virtual_time_ties_to_lowest_id():

@@ -61,11 +61,9 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 
 
 def _host_row(metrics) -> list:
-    latency_ms = (None if metrics.mean_latency is None
-                  else metrics.mean_latency * 1000.0)
     return [metrics.scheduler, metrics.web_weight_share, metrics.web_yields,
-            metrics.scheduling_error, latency_ms, metrics.utilization,
-            metrics.seed]
+            metrics.scheduling_error, metrics.mean_latency_ms,
+            metrics.utilization, metrics.seed]
 
 
 def _run_host(doc, seeds, out_dir, resolved) -> list[Path]:
@@ -89,9 +87,8 @@ def _run_table1(doc, seeds, out_dir, resolved) -> list[Path]:
             meta[label] = (metrics.scheduler, metrics.web_weight_share,
                            metrics.web_yields)
             errors.setdefault(label, []).append(metrics.scheduling_error)
-            if metrics.mean_latency is not None:
-                latencies.setdefault(label, []).append(
-                    metrics.mean_latency * 1000.0)
+            if metrics.mean_latency_ms is not None:
+                latencies.setdefault(label, []).append(metrics.mean_latency_ms)
     rows = []
     for label in errors:
         scheduler, share, yields = meta[label]

@@ -1,12 +1,13 @@
 """Experiment configuration: JSON documents with strict key checking.
 
 A configuration file carries one top-level block per simulation module
-(``host``, ``market``, ``harness``) plus run controls (``experiment``,
-``seeds``, ``repetitions``, ``out``, ``sweep``).  Omitted parameters
-fall back to the module defaults.  Unknown keys anywhere are rejected
-rather than ignored: a typo that silently falls back to a default is
-worse than an error.  ``--set a.b=value`` overrides are applied on top
-of the file content before validation, so they win.
+(``host``, ``market``, ``harness``) plus run controls (``seeds``,
+``repetitions``, ``sweep``).  The experiment and the output directory
+come from the command line only.  Omitted parameters fall back to the
+module defaults.  Unknown keys anywhere are rejected rather than
+ignored: a typo that silently falls back to a default is worse than an
+error.  ``--set a.b=value`` overrides are applied on top of the file
+content before validation, so they win.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from enum import Enum
 
 from .errors import ConfigError
 from .harness.bank import PolicyKind
-from .harness.scenario import ParentJob, ScenarioConfig
+from .harness.agents import ParentJob
+from .harness.scenario import ScenarioConfig
 from .hostsim import FundingMode, HostSimConfig, SchedulerKind, WorkloadSpec
 from .market import Behavior, MarketConfig
 from .sched.types import PriceMode
@@ -45,8 +47,7 @@ class Experiment(Enum):
     FIGURE1 = "figure1"
 
 
-_TOP_KEYS = ("experiment", "seeds", "repetitions", "out",
-             "host", "market", "harness", "sweep")
+_TOP_KEYS = ("seeds", "repetitions", "host", "market", "harness", "sweep")
 _SWEEP_KEYS = ("interarrivals", "behaviors")
 
 # Load sweep for the utility curve: interarrival means from light load
@@ -232,8 +233,6 @@ def validate_config(doc: dict) -> None:
     so a config stays valid when reused across experiments.
     """
     _check_keys(doc, _TOP_KEYS, "config")
-    if "experiment" in doc:
-        _coerce_enum(Experiment, doc["experiment"], "experiment")
     seeds = doc.get("seeds", [])
     if (not isinstance(seeds, list)
             or any(not isinstance(s, int) or isinstance(s, bool) for s in seeds)):
@@ -241,8 +240,6 @@ def validate_config(doc: dict) -> None:
     reps = doc.get("repetitions", 1)
     if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
         raise ConfigError("repetitions must be an integer >= 1")
-    if "out" in doc and not isinstance(doc["out"], str):
-        raise ConfigError("out must be a path string")
     build_host_config(doc.get("host", {}))
     build_market_config(doc.get("market", {}))
     build_harness_config(doc.get("harness", {}))

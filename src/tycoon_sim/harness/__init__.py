@@ -11,16 +11,16 @@ from .messages import Message, MessageKind, Network
 from .bank import (BankLedger, FundingPolicy, PolicyKind, bank_transfer,
                    apply_funding_policy)
 from .sls import ServiceLocator, SLSEntry
-from .agents import (ParentAgentSpec, ChildAgentState, parent_budget,
+from .agents import (ParentJob, ChildAgentState, parent_budget,
                      parent_monitor_and_replace)
-from .scenario import ScenarioConfig, ScenarioReport, ParentJob, run_harness_scenario
+from .scenario import ScenarioConfig, ScenarioReport, run_harness_scenario
 
 __all__ = [
     "Message", "MessageKind", "Network",
     "BankLedger", "FundingPolicy", "PolicyKind", "bank_transfer",
     "apply_funding_policy",
     "ServiceLocator", "SLSEntry",
-    "ParentAgentSpec", "ChildAgentState", "parent_budget",
+    "ParentJob", "ChildAgentState", "parent_budget",
     "parent_monitor_and_replace",
-    "ScenarioConfig", "ScenarioReport", "ParentJob", "run_harness_scenario",
+    "ScenarioConfig", "ScenarioReport", "run_harness_scenario",
 ]

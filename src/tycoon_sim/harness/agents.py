@@ -15,28 +15,29 @@ from ..errors import InvalidSpecError
 
 
 @dataclass
-class ParentAgentSpec:
-    total_credits: float
-    deadline_minutes: float
-    num_hosts: int
+class ParentJob:
+    """One user's job: its credits, its deadline and how many hosts."""
+
+    total_credits: float = 4.0
+    deadline_minutes: float = 2.0
+    num_hosts: int = 2
     performance_cost_threshold: float = 0.5
 
 
 @dataclass
 class ChildAgentState:
     host: str
-    funds_held: float = 0.0   # credits currently at the auctioneer
     progress: float = 0.0     # work units completed so far
     cost: float = 0.0         # credits spent so far
     key: str = ""             # the parent's name for this child
     last_report: float = 0.0  # time of the last progress report
 
 
-def parent_budget(spec: ParentAgentSpec) -> float:
+def parent_budget(job: ParentJob) -> float:
     """Spending rate in credits per host per minute."""
-    if spec.num_hosts <= 0 or spec.deadline_minutes <= 0:
+    if job.num_hosts <= 0 or job.deadline_minutes <= 0:
         raise InvalidSpecError("num_hosts and deadline must be positive")
-    return spec.total_credits / (spec.num_hosts * spec.deadline_minutes)
+    return job.total_credits / (job.num_hosts * job.deadline_minutes)
 
 
 def _ratio(child: ChildAgentState) -> float:

@@ -86,12 +86,23 @@ class FundingPolicy:
 
 
 def apply_funding_policy(ledger: BankLedger, policy: FundingPolicy,
-                         tick: int) -> None:
+                         tick: int) -> list:
+    """Pay one tick's incomes, then drain the providers to the admin.
+
+    An income the admin account cannot cover is skipped, not raised: a
+    dry pool starves its users rather than stopping the economy.
+    Returns the accounts whose income was skipped, in payment order.
+    """
+    skipped = []
     if policy.kind is PolicyKind.CLOSED_LOOP:
-        return
+        return skipped
     for account_id, rate in sorted(policy.income_rates.items()):
-        bank_transfer(ledger, policy.admin_account, account_id, rate)
+        try:
+            bank_transfer(ledger, policy.admin_account, account_id, rate)
+        except InsufficientBalanceError:
+            skipped.append(account_id)
     for provider in policy.provider_accounts:
         held = ledger.balance(provider)
         if held:
             bank_transfer(ledger, provider, policy.admin_account, held)
+    return skipped

@@ -16,21 +16,13 @@ import numpy as np
 from ..errors import ConfigError, InsufficientBalanceError, UnknownAccountError
 from ..sched.auction import AuctionShareScheduler
 from ..sched.types import AgentAccount, PriceMode, SchedulerConfig
-from .agents import (ChildAgentState, ParentAgentSpec, parent_budget,
+from .agents import (ChildAgentState, ParentJob, parent_budget,
                      parent_monitor_and_replace)
 from .bank import (MICRO, BankLedger, FundingPolicy, PolicyKind,
                    apply_funding_policy, bank_transfer, credits_to_micro,
                    micro_to_credits)
 from .messages import MessageKind, Network
 from .sls import ServiceLocator
-
-
-@dataclass
-class ParentJob:
-    total_credits: float = 4.0
-    deadline_minutes: float = 2.0
-    num_hosts: int = 2
-    performance_cost_threshold: float = 0.5
 
 
 @dataclass
@@ -225,12 +217,8 @@ class _ParentNode:
         self.parent_id = f"parent:{index}"
         self.account = f"user:{index}"
         self.index = index
-        self.spec = ParentAgentSpec(
-            total_credits=job.total_credits,
-            deadline_minutes=job.deadline_minutes,
-            num_hosts=job.num_hosts,
-            performance_cost_threshold=job.performance_cost_threshold)
-        self.rate_per_host_min = parent_budget(self.spec)
+        self.job = job
+        self.rate_per_host_min = parent_budget(job)
         self.lump_micro = credits_to_micro(
             self.rate_per_host_min * sim.config.funding_chunk_minutes)
         self.remaining_micro = credits_to_micro(job.total_credits)
@@ -257,7 +245,6 @@ class _ParentNode:
                 return
             child.progress = p["progress"]
             child.cost = p["spent"]
-            child.funds_held = p["funds"]
             child.last_report = self.sim.now
             if p["funds"] * MICRO < self.lump_micro * self.sim.config.refresh_fraction:
                 self._fund(child.key, child.host)
@@ -270,7 +257,7 @@ class _ParentNode:
         rng = self.sim.rng
         hosts = list(self.known_hosts)
         picks = []
-        for _ in range(min(self.spec.num_hosts, len(hosts))):
+        for _ in range(min(self.job.num_hosts, len(hosts))):
             picks.append(hosts.pop(int(rng.integers(len(hosts)))))
         for host in picks:
             self._spawn_child(host, activate_at=self.sim.now)
@@ -316,7 +303,7 @@ class _ParentNode:
         survivors = [child for key, child in self.children.items()
                      if key not in dead]
         theta_actions = parent_monitor_and_replace(
-            survivors, self.spec.performance_cost_threshold,
+            survivors, self.job.performance_cost_threshold,
             self._free_hosts(), self.sim.rng)
         moves = [(key, None, "timeout") for key in dead]
         moves += [(child.key, host, "slow") for child, host in theta_actions]
@@ -446,7 +433,7 @@ class HarnessSim:
                         for i, job in enumerate(config.parents)]
         for parent in self.parents:
             self.ledger.create_account(
-                parent.account, credits_to_micro(parent.spec.total_credits))
+                parent.account, credits_to_micro(parent.job.total_credits))
             self.network.register(parent.parent_id, parent.handle)
 
         if config.policy_kind is PolicyKind.OPEN_LOOP:
@@ -490,10 +477,15 @@ class HarnessSim:
                 for h in self.hosts:
                     drained[h.provider_account] += \
                         self.ledger.balance(h.provider_account)
-                apply_funding_policy(self.ledger, self.policy, tick)
+                # A parent the dry admin pool could not pay gets no
+                # spending room this interval and counts a starvation.
+                unpaid = apply_funding_policy(self.ledger, self.policy, tick)
                 for parent in self.parents:
-                    parent.remaining_micro += credits_to_micro(
-                        cfg.open_loop_income)
+                    if parent.account in unpaid:
+                        parent.starvation_events += 1
+                    else:
+                        parent.remaining_micro += \
+                            self.policy.income_rates[parent.account]
                 tick += 1
             self.network.pump(self.now)
             for parent in self.parents:

@@ -31,9 +31,7 @@ class ServiceLocator:
         self._entries[host] = SLSEntry(host=host, resources=dict(resources),
                                        expires_at=now + ttl)
 
-    def lookup(self, now: float, criteria=None) -> list:
-        """Unexpired entries, optionally filtered, in host-id order."""
+    def lookup(self, now: float) -> list:
+        """Unexpired entries in host-id order."""
         live = [e for e in self._entries.values() if e.expires_at > now]
-        if criteria is not None:
-            live = [e for e in live if criteria(e)]
         return sorted(live, key=lambda e: e.host)

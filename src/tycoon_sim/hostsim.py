@@ -67,10 +67,8 @@ class WorkloadSpec:
 class RequestRecord:
     """Lifecycle of one web request."""
 
-    arrival_slice: int
     arrival_time: float
     service_start_time: float | None = None
-    completion_time: float | None = None
 
     @property
     def latency(self) -> float | None:
@@ -185,10 +183,9 @@ class _WebQueue:
             self.all.append(record)
         self.served_this_slice = False
 
-    def serve_head(self, slice_start: float, service_demand: float) -> None:
+    def serve_head(self, slice_start: float) -> None:
         head = self.pending.pop(0)
         head.service_start_time = slice_start
-        head.completion_time = slice_start + service_demand
         self.served_this_slice = True
 
     def __bool__(self) -> bool:
@@ -324,14 +321,13 @@ def _run_ps(config, arrivals, offsets, queue, slice_counts):
                 web_was_runnable = True
         winner = proportional.select_winner(runnable)
         if winner is web and queue:
-            queue.serve_head(k * dt, config.web.service_demand)
+            queue.serve_head(k * dt)
         proportional.advance(winner, dt)
         if k >= lo:
             slice_counts[winner.process_id] += 1
         queue.maybe_arrive(
             bool(arrivals[k]),
-            lambda: RequestRecord(arrival_slice=k,
-                                  arrival_time=(k + offsets[k]) * dt))
+            lambda: RequestRecord(arrival_time=(k + offsets[k]) * dt))
 
 
 def _run_auction(config, arrivals, offsets, funding_seed, queue, slice_counts):
@@ -398,10 +394,9 @@ def _run_auction(config, arrivals, offsets, funding_seed, queue, slice_counts):
             sched.set_runnable(0, bool(queue))
         result = sched.run_slice()
         if result.winner == 0 and queue:
-            queue.serve_head(now, config.web.service_demand)
+            queue.serve_head(now)
         if result.winner is not None and k >= lo:
             slice_counts[result.winner] += 1
         queue.maybe_arrive(
             bool(arrivals[k]),
-            lambda: RequestRecord(arrival_slice=k,
-                                  arrival_time=(k + offsets[k]) * dt))
+            lambda: RequestRecord(arrival_time=(k + offsets[k]) * dt))

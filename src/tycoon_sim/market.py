@@ -14,9 +14,8 @@ otherwise; the headline metric is mean accrued utility per host per time
 unit.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-import math
 
 import numpy as np
 
@@ -40,7 +39,6 @@ class Task:
     value: float
     arrival_time: float
     work_done: float = 0.0
-    completion_time: float | None = None
 
     @property
     def completed(self) -> bool:
@@ -56,9 +54,6 @@ class MarketUser:
     user_id: int
     behavior: Behavior
     balance: float = 0.0
-    income_rate: float = 1.0
-    # Submitted, unfinished, unabandoned tasks.
-    tasks: list = field(default_factory=list)
     # Signed balance deltas in application order (income +, spend -).
     # Replaying them reproduces the final balance exactly, float ops and
     # all, which is what the budget-conservation audit checks.
@@ -89,13 +84,6 @@ class MarketConfig:
     behavior: Behavior = Behavior.OBEDIENT
     income_rate: float = 1.0
     initial_balance: float = 0.0
-    # Tasks normally run spread over every host at once (the budget
-    # formula divides by num_hosts for exactly that reason).  When
-    # False, each task lands on one uniformly random host instead.
-    spread_across_hosts: bool = True
-    # Draw one arrival process per user instead of the pooled
-    # process.  Same law, slower, useful for cross-checks.
-    per_user_arrivals: bool = False
     rng_seed: int = 42
 
     def validate(self) -> None:
@@ -113,8 +101,6 @@ class MarketConfig:
 class UtilityResult:
     mean_interarrival: float
     mean_utility_per_host_per_time_unit: float
-    utility_stddev: float = 0.0
-    num_seeds: int = 1
 
 
 def obedient_weight(task: Task) -> float:
@@ -182,29 +168,18 @@ def accrue_utility(task: Task, completion_time: float) -> float:
 
 
 def _draw_tasks(config: MarketConfig, rng: np.random.Generator) -> list:
-    """All task arrivals for a run, sorted by arrival time."""
+    """All task arrivals for a run, sorted by arrival time.
+
+    The users' independent Poisson processes pool into one process with
+    num_users times the rate; each arrival's owner is uniform.
+    """
     tasks = []
-
-    def gaps_until(horizon, mean_gap):
-        t = rng.exponential(mean_gap)
-        while t < horizon:
-            yield t
-            t += rng.exponential(mean_gap)
-
-    if config.per_user_arrivals:
-        times = [
-            (t, uid)
-            for uid in range(config.num_users)
-            for t in gaps_until(config.duration,
-                                config.mean_task_interarrival)
-        ]
-        times.sort()
-    else:
-        pooled_gap = config.mean_task_interarrival / config.num_users
-        times = [
-            (t, int(rng.integers(config.num_users)))
-            for t in gaps_until(config.duration, pooled_gap)
-        ]
+    pooled_gap = config.mean_task_interarrival / config.num_users
+    times = []
+    t = rng.exponential(pooled_gap)
+    while t < config.duration:
+        times.append((t, int(rng.integers(config.num_users))))
+        t += rng.exponential(pooled_gap)
     for task_id, (t, uid) in enumerate(times):
         size = float(max(1, rng.poisson(config.mean_task_size)))
         rel_deadline = float(max(rng.poisson(config.mean_task_deadline),
@@ -225,16 +200,10 @@ class MarketSim:
         self.rng = np.random.default_rng(config.rng_seed)
         self.users = [
             MarketUser(user_id=uid, behavior=config.behavior,
-                       balance=config.initial_balance,
-                       income_rate=config.income_rate)
+                       balance=config.initial_balance)
             for uid in range(config.num_users)
         ]
         self.arrivals = _draw_tasks(config, self.rng)
-        if not config.spread_across_hosts:
-            self.host_of = {
-                t.task_id: int(self.rng.integers(config.num_hosts))
-                for t in self.arrivals
-            }
         self._next_arrival = 0
         self.total_utility = 0.0
 
@@ -247,7 +216,6 @@ class MarketSim:
             return [strategic_nomarket_weight(cfg.max_weight) for _ in active]
         # Budgeted: each user funds only its most valuable live task and
         # pays num_hosts times the per-host weight out of its balance.
-        divisor = cfg.num_hosts if cfg.spread_across_hosts else 1
         chosen: dict[int, Task] = {}
         for t in active:
             best = chosen.get(t.owner)
@@ -260,10 +228,10 @@ class MarketSim:
                 weights.append(0.0)
                 continue
             user = self.users[t.owner]
-            w = market_budget_weight(user.balance, t.value, divisor,
+            w = market_budget_weight(user.balance, t.value, cfg.num_hosts,
                                      t.deadline, now)
             if w > 0:
-                user.debit(w * divisor)
+                user.debit(w * cfg.num_hosts)
             weights.append(w)
         return weights
 
@@ -275,7 +243,7 @@ class MarketSim:
             now = float(t_step)
             if cfg.behavior is Behavior.STRATEGIC_MARKET:
                 for user in self.users:
-                    user.credit(user.income_rate)
+                    user.credit(cfg.income_rate)
             while (self._next_arrival < len(self.arrivals)
                    and self.arrivals[self._next_arrival].arrival_time <= now):
                 active.append(self.arrivals[self._next_arrival])
@@ -289,33 +257,17 @@ class MarketSim:
                 self._allocate(active, now)
                 finished = [t for t in active if t.completed]
                 for t in finished:
-                    t.completion_time = now + 1.0
-                    self.total_utility += accrue_utility(t, t.completion_time)
+                    self.total_utility += accrue_utility(t, now + 1.0)
                 active = [t for t in active if not t.completed]
         return self._result()
 
     def _allocate(self, active: list, now: float) -> None:
-        cfg = self.config
         weights = self._weights_for(active, now)
-        remaining = [t.remaining for t in active]
-        if cfg.spread_across_hosts:
-            # Identical weights on every host, so one fill with the
-            # pooled capacity equals the per-host loop (weighted fluid
-            # shares compose additively across hosts).
-            grants = allocate_host_step(weights, remaining,
-                                        capacity=float(cfg.num_hosts))
-        else:
-            grants = np.zeros(len(active))
-            for host in range(cfg.num_hosts):
-                on_host = [i for i, t in enumerate(active)
-                           if self.host_of[t.task_id] == host]
-                if not on_host:
-                    continue
-                sub = allocate_host_step([weights[i] for i in on_host],
-                                         [remaining[i] for i in on_host],
-                                         capacity=1.0)
-                for i, inc in zip(on_host, sub):
-                    grants[i] += inc
+        # Every task runs spread over every host with identical weights,
+        # so one fill with the pooled capacity equals the per-host loop
+        # (weighted fluid shares compose additively across hosts).
+        grants = allocate_host_step(weights, [t.remaining for t in active],
+                                    capacity=float(self.config.num_hosts))
         for t, inc in zip(active, grants):
             t.work_done += inc
             if t.size - t.work_done <= 1e-9:
@@ -334,32 +286,3 @@ class MarketSim:
 def run_market_sim(config: MarketConfig) -> UtilityResult:
     return MarketSim(config).run()
 
-
-def sweep_load(config: MarketConfig, interarrival_values,
-               num_seeds: int = 1) -> list:
-    """One aggregated UtilityResult per interarrival value.
-
-    Each point averages num_seeds runs seeded rng_seed, rng_seed+1, ...
-    so a sweep is reproducible end to end.
-    """
-    if not interarrival_values:
-        raise InvalidSpecError("interarrival_values must be non-empty")
-    results = []
-    for ia in interarrival_values:
-        utils = []
-        for s in range(num_seeds):
-            point = replace(config, mean_task_interarrival=float(ia),
-                            rng_seed=config.rng_seed + s)
-            utils.append(run_market_sim(point)
-                         .mean_utility_per_host_per_time_unit)
-        mean = sum(utils) / len(utils)
-        stddev = (math.sqrt(sum((u - mean) ** 2 for u in utils)
-                            / (len(utils) - 1))
-                  if len(utils) > 1 else 0.0)
-        results.append(UtilityResult(
-            mean_interarrival=float(ia),
-            mean_utility_per_host_per_time_unit=mean,
-            utility_stddev=stddev,
-            num_seeds=num_seeds,
-        ))
-    return results

@@ -28,7 +28,7 @@ from tycoon_sim.harness.bank import (
 from tycoon_sim.harness.scenario import ParentJob, ScenarioConfig, run_harness_scenario
 from tycoon_sim.errors import InsufficientBalanceError, InvalidAmountError
 from tycoon_sim.hostsim import comparison_rows, run_host_sim
-from tycoon_sim.market import Behavior, MarketConfig, sweep_load
+from tycoon_sim.market import Behavior
 from tycoon_sim.sched.auction import AuctionShareScheduler, reservation_quote
 from tycoon_sim.sched.proportional import advance
 from tycoon_sim.sched.proportional import select_winner as ps_select
@@ -65,15 +65,15 @@ def table():
 
 @pytest.fixture(scope="module")
 def market_grid():
-    """behavior -> interarrival -> mean utility, 10 seeds per point."""
-    grid = {}
-    for behavior in Behavior:
-        points = sweep_load(MarketConfig(behavior=behavior),
-                            INTERARRIVALS, num_seeds=10)
-        grid[behavior] = {p.mean_interarrival:
-                          p.mean_utility_per_host_per_time_unit
-                          for p in points}
-    return grid
+    """behavior -> interarrival -> mean utility, seeds 42..51 per point.
+
+    Built by the CLI's own aggregator, so the gate checks the numbers
+    figure1.csv reports.
+    """
+    seeds = list(range(42, 52))
+    return {behavior: {ia: cli._market_point({}, behavior, ia, seeds)[2]
+                       for ia in INTERARRIVALS}
+            for behavior in Behavior}
 
 
 # -- 1: the comparison table lands in its published bands ------------------

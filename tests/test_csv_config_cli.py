@@ -1,6 +1,8 @@
 """Output tables, configuration documents, and the command line."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -107,10 +109,17 @@ def test_unknown_keys_rejected_everywhere():
         validate_config({"host": {"web": {"kind": "web_server"}}})
     with pytest.raises(ConfigError, match="market"):
         validate_config({"market": {"nope": 1}})
+    with pytest.raises(ConfigError, match="market: spread_across_hosts"):
+        validate_config({"market": {"spread_across_hosts": False}})
     with pytest.raises(ConfigError, match="harness"):
         validate_config({"harness": {"nope": 1}})
     with pytest.raises(ConfigError, match="sweep"):
         validate_config({"sweep": {"nope": []}})
+    # The experiment and output directory come from the command line only.
+    with pytest.raises(ConfigError, match="config: experiment"):
+        validate_config({"experiment": "figure1"})
+    with pytest.raises(ConfigError, match="config: out"):
+        validate_config({"out": "/x"})
     validate_config({})  # all defaults are a valid document
 
 
@@ -119,8 +128,6 @@ def test_run_control_validation():
         validate_config({"seeds": [1, "x"]})
     with pytest.raises(ConfigError):
         validate_config({"repetitions": 0})
-    with pytest.raises(ConfigError):
-        validate_config({"out": 3})
 
 
 def test_overrides_parse_json_with_string_fallback():
@@ -182,6 +189,13 @@ def test_kill_hosts_must_name_an_existing_host(tmp_path, capsys):
     assert cli.main(["run", "--experiment", "harness", "--config", conf,
                      "--out", str(tmp_path / "out")]) == 2
     assert "kill_hosts index 99" in capsys.readouterr().err
+
+
+def test_readme_config_example_is_valid():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1]
+    example = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    validate_config(json.loads(example))
 
 
 def test_wrong_typed_value_is_a_config_error():
@@ -313,6 +327,24 @@ def test_harness_run_emits_three_tables_with_audit(tmp_path):
         assert (out / name).exists()
     assert "ledger-audit seed=2: conserved=true" in (
         out / "harness_users.csv").read_text()
+
+
+def test_dry_open_loop_admin_pool_starves_instead_of_failing(tmp_path,
+                                                             capsys):
+    conf = write_json(tmp_path, {})
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--experiment", "harness", "--config", conf,
+                   "--out", str(out),
+                   "--set", "harness.policy_kind=open_loop",
+                   "--set", "harness.admin_pool=1"])
+    assert rc == 0, capsys.readouterr().err
+    for name in ("harness_users.csv", "harness_hosts.csv",
+                 "harness_events.csv"):
+        assert "ledger-audit seed=42: conserved=true" in (
+            out / name).read_text()
+    _, header, rows = read_csv(out / "harness_users.csv")
+    column = header.index("starvation_events")
+    assert sum(int(row[column]) for row in rows) > 0
 
 
 def test_figure1_run_covers_the_grid(tmp_path):

@@ -58,7 +58,7 @@ def test_funding_rejects_nonpositive_rate():
 
 
 def record(arrival, start=None):
-    rec = RequestRecord(arrival_slice=0, arrival_time=arrival)
+    rec = RequestRecord(arrival_time=arrival)
     rec.service_start_time = start
     return rec
 

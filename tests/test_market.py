@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from tycoon_sim import cli
 from tycoon_sim.errors import ExpiredTaskError, InvalidSpecError
 from tycoon_sim.market import (
     Behavior,
@@ -17,7 +18,6 @@ from tycoon_sim.market import (
     obedient_weight,
     run_market_sim,
     strategic_nomarket_weight,
-    sweep_load,
 )
 
 
@@ -128,7 +128,7 @@ def test_utility_requires_completion_by_deadline():
 
 def test_delta_log_replays_to_balance_exactly():
     user = MarketUser(user_id=0, behavior=Behavior.STRATEGIC_MARKET,
-                      balance=10.0, income_rate=1.0)
+                      balance=10.0)
     rng = np.random.default_rng(4)
     for _ in range(1000):
         amount = float(rng.random())
@@ -188,26 +188,18 @@ def test_free_riders_lose_past_saturation():
     assert results[Behavior.STRATEGIC_NO_MARKET] < results[Behavior.OBEDIENT]
 
 
-def test_per_user_arrivals_same_law():
-    # The pooled process is an aggregation identity, not a model change:
-    # mean utilities agree within sampling noise.
-    pooled, split = [], []
-    for seed in range(1, 9):
-        pooled.append(run_market_sim(
-            small_config(rng_seed=seed)).mean_utility_per_host_per_time_unit)
-        split.append(run_market_sim(
-            small_config(rng_seed=seed, per_user_arrivals=True)
-        ).mean_utility_per_host_per_time_unit)
-    assert np.mean(split) == pytest.approx(np.mean(pooled), rel=0.25)
-
-
-def test_sweep_load_aggregates_seeds():
-    cfg = small_config()
-    points = sweep_load(cfg, [100.0, 50.0], num_seeds=3)
-    assert [p.mean_interarrival for p in points] == [100.0, 50.0]
-    for point in points:
-        assert point.num_seeds == 3
-        assert point.utility_stddev >= 0.0
+def test_market_point_aggregates_seeds():
+    block = {"num_users": 20, "num_hosts": 4, "duration": 150}
+    for ia in (100.0, 50.0):
+        row = cli._market_point({"market": block}, Behavior.OBEDIENT, ia,
+                                [11, 12, 13])
+        interarrival, behavior, mean, stddev, seeds = row
+        assert (interarrival, behavior, seeds) == (ia, "obedient", 3)
+        assert stddev >= 0.0
+        per_seed = [run_market_sim(small_config(mean_task_interarrival=ia,
+                                                rng_seed=s))
+                    .mean_utility_per_host_per_time_unit for s in (11, 12, 13)]
+        assert mean == pytest.approx(np.mean(per_seed))
 
 
 def test_config_validation():

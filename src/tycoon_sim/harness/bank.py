@@ -85,8 +85,7 @@ class FundingPolicy:
     provider_accounts: tuple = ()
 
 
-def apply_funding_policy(ledger: BankLedger, policy: FundingPolicy,
-                         tick: int) -> list:
+def apply_funding_policy(ledger: BankLedger, policy: FundingPolicy) -> list:
     """Pay one tick's incomes, then drain the providers to the admin.
 
     An income the admin account cannot cover is skipped, not raised: a

@@ -216,7 +216,6 @@ class _ParentNode:
         self.sim = sim
         self.parent_id = f"parent:{index}"
         self.account = f"user:{index}"
-        self.index = index
         self.job = job
         self.rate_per_host_min = parent_budget(job)
         self.lump_micro = credits_to_micro(
@@ -459,7 +458,6 @@ class HarnessSim:
         dt = cfg.timeslice_length
         total = int(round(cfg.duration / dt))
         drained = {h.provider_account: 0 for h in self.hosts}
-        tick = 0
         for k in range(total):
             self.now = k * dt
             while self._pending_kills and self._pending_kills[0][0] <= self.now:
@@ -479,14 +477,13 @@ class HarnessSim:
                         self.ledger.balance(h.provider_account)
                 # A parent the dry admin pool could not pay gets no
                 # spending room this interval and counts a starvation.
-                unpaid = apply_funding_policy(self.ledger, self.policy, tick)
+                unpaid = apply_funding_policy(self.ledger, self.policy)
                 for parent in self.parents:
                     if parent.account in unpaid:
                         parent.starvation_events += 1
                     else:
                         parent.remaining_micro += \
                             self.policy.income_rates[parent.account]
-                tick += 1
             self.network.pump(self.now)
             for parent in self.parents:
                 parent.monitor_decide()

@@ -14,7 +14,7 @@ otherwise; the headline metric is mean accrued utility per host per time
 unit.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -26,46 +26,6 @@ class Behavior(Enum):
     OBEDIENT = "obedient"
     STRATEGIC_NO_MARKET = "strategic_no_market"
     STRATEGIC_MARKET = "strategic_market"
-
-
-@dataclass
-class Task:
-    """One unit of work: size processor-seconds wanted before deadline."""
-
-    task_id: int
-    owner: int
-    size: float
-    deadline: float
-    value: float
-    arrival_time: float
-    work_done: float = 0.0
-
-    @property
-    def completed(self) -> bool:
-        return self.work_done >= self.size
-
-    @property
-    def remaining(self) -> float:
-        return self.size - self.work_done
-
-
-@dataclass
-class MarketUser:
-    user_id: int
-    behavior: Behavior
-    balance: float = 0.0
-    # Signed balance deltas in application order (income +, spend -).
-    # Replaying them reproduces the final balance exactly, float ops and
-    # all, which is what the budget-conservation audit checks.
-    delta_log: list = field(default_factory=list)
-
-    def credit(self, amount: float) -> None:
-        self.balance += amount
-        self.delta_log.append(amount)
-
-    def debit(self, amount: float) -> None:
-        self.balance -= amount
-        self.delta_log.append(-amount)
 
 
 @dataclass
@@ -103,30 +63,20 @@ class UtilityResult:
     mean_utility_per_host_per_time_unit: float
 
 
-def obedient_weight(task: Task) -> float:
-    """Truthful weight: the task's declared value."""
-    return task.value
-
-
-def strategic_nomarket_weight(max_weight: float = 1.0) -> float:
-    """Weight chosen by a free rider: the system-wide cap."""
-    return max_weight
-
-
-def market_budget_weight(balance: float, value: float, num_hosts: int,
-                         deadline: float, now: float) -> float:
+def market_budget_weight(balance, value, num_hosts: int, deadline, now: float):
     """Per-host weight a budgeted user puts on its best task.
 
     Spreads the balance share earmarked for this task over the hosts and
     the time left before the deadline.  Capped at balance/num_hosts so a
-    single time unit can never spend more than the full balance.
+    single time unit can never spend more than the full balance.  Takes
+    scalars, or one array element per user.
     """
-    if deadline <= now:
+    if np.less_equal(deadline, now).any():
         raise ExpiredTaskError("deadline passed, task abandoned")
     if num_hosts < 1:
         raise InvalidSpecError("num_hosts must be >= 1")
     weight = balance * value / (num_hosts * (deadline - now))
-    return min(weight, balance / num_hosts)
+    return np.minimum(weight, balance / num_hosts)
 
 
 def allocate_host_step(weights, remaining, capacity: float = 1.0):
@@ -141,137 +91,153 @@ def allocate_host_step(weights, remaining, capacity: float = 1.0):
     rem = np.asarray(remaining, dtype=float)
     if w.shape != rem.shape:
         raise InvalidSpecError("weights and remaining must align")
-    if np.any(w < 0) or np.any(rem < 0):
+    if (w < 0).any() or (rem < 0).any():
         raise InvalidSpecError("weights and remaining must be nonnegative")
-    grant = np.zeros_like(rem)
+    grant = np.zeros(rem.shape)
+    unmet = rem  # rem - grant
     left = capacity
     open_mask = (w > 0) & (rem > 0)
-    while left > 1e-12 and open_mask.any():
-        total_w = w[open_mask].sum()
-        step = np.zeros_like(rem)
-        step[open_mask] = left * w[open_mask] / total_w
-        step = np.minimum(step, rem - grant)
+    n_open = np.count_nonzero(open_mask)
+    while left > 1e-12 and n_open:
+        w_open = w[open_mask]
+        step = np.zeros(rem.shape)
+        step[open_mask] = left * w_open / w_open.sum()
+        step = np.minimum(step, unmet)
         grant += step
         left -= step.sum()
-        newly_open = open_mask & (rem - grant > 1e-12)
-        if newly_open.sum() == open_mask.sum():
+        unmet = rem - grant
+        open_mask &= unmet > 1e-12
+        n_still_open = np.count_nonzero(open_mask)
+        if n_still_open == n_open:
             break  # nobody capped this round, capacity is exhausted
-        open_mask = newly_open
+        n_open = n_still_open
     return grant
 
 
-def accrue_utility(task: Task, completion_time: float) -> float:
-    """value * size when finished by the deadline, zero otherwise."""
-    if not task.completed:
-        return 0.0
-    return task.value * task.size if completion_time <= task.deadline else 0.0
-
-
-def _draw_tasks(config: MarketConfig, rng: np.random.Generator) -> list:
-    """All task arrivals for a run, sorted by arrival time.
+def _draw_tasks(config: MarketConfig, rng: np.random.Generator) -> tuple:
+    """All task arrivals for a run as (arrival, owner, size, deadline, value)
+    arrays, sorted by arrival time.
 
     The users' independent Poisson processes pool into one process with
     num_users times the rate; each arrival's owner is uniform.
     """
-    tasks = []
     pooled_gap = config.mean_task_interarrival / config.num_users
-    times = []
+    arrival, owner = [], []
     t = rng.exponential(pooled_gap)
     while t < config.duration:
-        times.append((t, int(rng.integers(config.num_users))))
+        arrival.append(t)
+        owner.append(int(rng.integers(config.num_users)))
         t += rng.exponential(pooled_gap)
-    for task_id, (t, uid) in enumerate(times):
-        size = float(max(1, rng.poisson(config.mean_task_size)))
+    size, deadline, value = [], [], []
+    for t in arrival:
+        task_size = float(max(1, rng.poisson(config.mean_task_size)))
         rel_deadline = float(max(rng.poisson(config.mean_task_deadline),
-                                 size))
-        value = 1.0 - rng.random()  # uniform on (0, 1]
-        tasks.append(Task(task_id=task_id, owner=uid, size=size,
-                          deadline=t + rel_deadline, value=value,
-                          arrival_time=t))
-    return tasks
+                                 task_size))
+        size.append(task_size)
+        deadline.append(t + rel_deadline)
+        value.append(1.0 - rng.random())  # uniform on (0, 1]
+    return (np.array(arrival, dtype=float), np.array(owner, dtype=np.intp),
+            np.array(size), np.array(deadline), np.array(value))
 
 
 class MarketSim:
-    """One seeded run: arrival schedule, user purses, per-step allocation."""
+    """One seeded run: arrival schedule, user purses, per-step allocation.
+
+    Tasks live in a struct of arrays indexed by arrival order; ``work`` is
+    the processor time each has received.  A step works on ``live``, the
+    indices of the submitted, unfinished, not withdrawn tasks in arrival
+    order, so every per-task float operation and every utility sum runs
+    in the same order as a loop over task objects would.
+    """
 
     def __init__(self, config: MarketConfig):
         config.validate()
         self.config = config
         self.rng = np.random.default_rng(config.rng_seed)
-        self.users = [
-            MarketUser(user_id=uid, behavior=config.behavior,
-                       balance=config.initial_balance)
-            for uid in range(config.num_users)
-        ]
-        self.arrivals = _draw_tasks(config, self.rng)
-        self._next_arrival = 0
+        self.balance = np.full(config.num_users, float(config.initial_balance))
+        (self.arrival, self.owner, self.size, self.deadline,
+         self.value) = _draw_tasks(config, self.rng)
+        self.work = np.zeros(self.size.shape)
+        # Step t admits the tasks with arrival <= t: indices below cuts[t].
+        self._cuts = np.searchsorted(
+            self.arrival, np.arange(config.duration, dtype=float),
+            side="right").tolist()
         self.total_utility = 0.0
 
-    def _weights_for(self, active: list, now: float) -> list:
+    def _weights_for(self, live: np.ndarray, now: float) -> np.ndarray:
         cfg = self.config
-        behavior = cfg.behavior
-        if behavior is Behavior.OBEDIENT:
-            return [obedient_weight(t) for t in active]
-        if behavior is Behavior.STRATEGIC_NO_MARKET:
-            return [strategic_nomarket_weight(cfg.max_weight) for _ in active]
+        if cfg.behavior is Behavior.OBEDIENT:
+            return self.value[live]
+        if cfg.behavior is Behavior.STRATEGIC_NO_MARKET:
+            return np.full(live.size, cfg.max_weight)
         # Budgeted: each user funds only its most valuable live task and
-        # pays num_hosts times the per-host weight out of its balance.
-        chosen: dict[int, Task] = {}
-        for t in active:
-            best = chosen.get(t.owner)
-            if best is None or (t.value, -t.arrival_time) > (best.value,
-                                                             -best.arrival_time):
-                chosen[t.owner] = t
-        weights = []
-        for t in active:
-            if chosen.get(t.owner) is not t:
-                weights.append(0.0)
-                continue
-            user = self.users[t.owner]
-            w = market_budget_weight(user.balance, t.value, cfg.num_hosts,
-                                     t.deadline, now)
-            if w > 0:
-                user.debit(w * cfg.num_hosts)
-            weights.append(w)
+        # pays num_hosts times the per-host weight out of its balance.  The
+        # sort is stable and live is in arrival order, so a tie in value
+        # goes to the earlier arrival.
+        owners = self.owner[live]
+        order = np.lexsort((-self.value[live], owners))
+        ranked = owners[order]
+        head = np.empty(ranked.size, dtype=bool)
+        head[0] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+        best, users = order[head], ranked[head]
+        tasks = live[best]
+        w = market_budget_weight(self.balance[users], self.value[tasks],
+                                 cfg.num_hosts, self.deadline[tasks], now)
+        paying = w > 0
+        self.balance[users[paying]] -= w[paying] * cfg.num_hosts
+        weights = np.zeros(live.size)
+        weights[best] = w
         return weights
 
     def run(self) -> UtilityResult:
         cfg = self.config
-        active: list[Task] = []
+        size, deadline, value, work = (self.size, self.deadline, self.value,
+                                       self.work)
         keeps_expired = cfg.behavior is Behavior.STRATEGIC_NO_MARKET
-        for t_step in range(cfg.duration):
+        budgeted = cfg.behavior is Behavior.STRATEGIC_MARKET
+        # Every task runs spread over every host with identical weights,
+        # so one fill with the pooled capacity equals the per-host loop
+        # (weighted fluid shares compose additively across hosts).
+        capacity = float(cfg.num_hosts)
+        live = np.empty(0, dtype=np.intp)
+        admitted = 0
+        for t_step, cut in enumerate(self._cuts):
             now = float(t_step)
-            if cfg.behavior is Behavior.STRATEGIC_MARKET:
-                for user in self.users:
-                    user.credit(cfg.income_rate)
-            while (self._next_arrival < len(self.arrivals)
-                   and self.arrivals[self._next_arrival].arrival_time <= now):
-                active.append(self.arrivals[self._next_arrival])
-                self._next_arrival += 1
+            if budgeted:
+                self.balance += cfg.income_rate
+            if cut > admitted:
+                live = np.concatenate((live, np.arange(admitted, cut)))
+                admitted = cut
             if not keeps_expired:
                 # A task that cannot finish inside its deadline earns
                 # nothing, so cooperative and budgeted users withdraw it.
                 # Free riders have no reason to bother: theirs stay.
-                active = [t for t in active if t.deadline >= now + 1.0]
-            if active:
-                self._allocate(active, now)
-                finished = [t for t in active if t.completed]
-                for t in finished:
-                    self.total_utility += accrue_utility(t, now + 1.0)
-                active = [t for t in active if not t.completed]
+                live = live[deadline[live] >= now + 1.0]
+            if not live.size:
+                continue
+            weights = self._weights_for(live, now)
+            done_before = work[live]
+            size_live = size[live]
+            grants = allocate_host_step(weights, size_live - done_before,
+                                        capacity=capacity)
+            done_after = done_before + grants
+            # Work within 1e-9 of the size snaps to it.  Work reaches the
+            # size only through the snap, so the snapped tasks are exactly
+            # the finished ones.
+            finished = size_live - done_after <= 1e-9
+            work[live] = np.where(finished, size_live, done_after)
+            if np.count_nonzero(finished):
+                ended = live[finished]
+                # Worth value * size if finished by the deadline, zero
+                # otherwise; summed one task at a time in arrival order.
+                finish_time = now + 1.0
+                for worth, due in zip((value[ended] * size[ended]).tolist(),
+                                      deadline[ended].tolist()):
+                    if finish_time <= due:
+                        self.total_utility += worth
+                live = live[~finished]
         return self._result()
-
-    def _allocate(self, active: list, now: float) -> None:
-        weights = self._weights_for(active, now)
-        # Every task runs spread over every host with identical weights,
-        # so one fill with the pooled capacity equals the per-host loop
-        # (weighted fluid shares compose additively across hosts).
-        grants = allocate_host_step(weights, [t.remaining for t in active],
-                                    capacity=float(self.config.num_hosts))
-        for t, inc in zip(active, grants):
-            t.work_done += inc
-            if t.size - t.work_done <= 1e-9:
-                t.work_done = t.size
 
     def _result(self) -> UtilityResult:
         cfg = self.config
@@ -285,4 +251,3 @@ class MarketSim:
 
 def run_market_sim(config: MarketConfig) -> UtilityResult:
     return MarketSim(config).run()
-

@@ -6,6 +6,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 
 class PriceMode(Enum):
@@ -51,12 +52,20 @@ class Reservation:
     slices_elapsed: int = 0
     slices_won: int = 0
 
+    def __post_init__(self) -> None:
+        # The target ceil(fraction * slices) is computed in integers on the
+        # fraction as written: 0.07 of 100 slices is 7, where the float
+        # product 0.07 * 100 = 7.000000000000001 would round up to 8.
+        share = Fraction(repr(float(self.fraction)))
+        self._share = (share.numerator, share.denominator)
+
     def active(self) -> bool:
         return self.slices_elapsed < self.period
 
     def behind(self) -> bool:
         """True when the upcoming slice is needed to stay on target."""
-        target = math.ceil(self.fraction * (self.slices_elapsed + 1))
+        num, den = self._share
+        target = -(-num * (self.slices_elapsed + 1) // den)
         return self.active() and self.slices_won < target
 
 
@@ -65,13 +74,17 @@ class PriceStats:
 
     Keeps running sums so mean and sample standard deviation are O(1) to
     read.  The stddev is 0.0 while fewer than two prices are retained.
+    The sums are of each price minus the first one observed: raw sums of
+    squares near 1e6 cancel to a few digits in sumsq - sum**2 / n, while
+    the shifted ones stay the size of the spread.
     """
 
     def __init__(self, window_size: int = 1000):
         if window_size < 1:
             raise ValueError("window_size must be positive")
         self.window_size = window_size
-        self._window: deque[float] = deque()
+        self._shift = 0.0
+        self._window: deque[float] = deque()  # price - self._shift
         self._sum = 0.0
         self._sumsq = 0.0
 
@@ -80,19 +93,23 @@ class PriceStats:
 
     def observe(self, price: float) -> None:
         """Append a clearing price, evicting the oldest beyond the window."""
-        if len(self._window) == self.window_size:
-            old = self._window.popleft()
+        window = self._window
+        if len(window) == self.window_size:
+            old = window.popleft()
             self._sum -= old
             self._sumsq -= old * old
-        self._window.append(price)
-        self._sum += price
-        self._sumsq += price * price
+        elif not window:
+            self._shift = price
+        delta = price - self._shift
+        window.append(delta)
+        self._sum += delta
+        self._sumsq += delta * delta
 
     @property
     def mean(self) -> float:
         if not self._window:
             return 0.0
-        return self._sum / len(self._window)
+        return self._shift + self._sum / len(self._window)
 
     @property
     def stddev(self) -> float:

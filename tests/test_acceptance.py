@@ -221,12 +221,12 @@ def test_criterion_5_conservation_under_churn_and_faults():
                            income_rates={"acct:1": 250, "acct:2": 125},
                            provider_accounts=("acct:3",))
     events = rejected = 0
-    for tick in range(10_000):
+    for _ in range(10_000):
         kind = rng.integers(0, 10)
         src, dst = rng.choice(len(ids), size=2, replace=False)
         try:
             if kind == 0:
-                apply_funding_policy(ledger, policy, tick)
+                apply_funding_policy(ledger, policy)
             elif kind == 1:
                 bank_transfer(ledger, ids[src], ids[dst],
                               -int(rng.integers(1, 100)))

@@ -2,6 +2,7 @@
 
 import math
 import statistics
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -168,6 +169,22 @@ def test_price_stats_match_recomputation():
     assert stats.stddev == pytest.approx(statistics.stdev(window), abs=1e-9)
 
 
+def test_price_stats_stay_exact_far_from_zero():
+    # Prices with a spread of ~0.3 around a large level: raw sums of
+    # squares would cancel to a few digits (near 1e8, a stddev ~20x off).
+    rng = np.random.default_rng(9)
+    for offset in (1e3, 1e6, 1e8):
+        stats = PriceStats(window_size=256)
+        prices = [float(p) for p in rng.normal(offset, 0.3, size=1000)]
+        for price in prices:
+            stats.observe(price)
+        window = prices[-256:]
+        assert stats.mean == pytest.approx(statistics.fmean(window),
+                                           rel=1e-12)
+        assert stats.stddev == pytest.approx(statistics.stdev(window),
+                                             rel=1e-9)
+
+
 def test_price_stats_small_windows():
     stats = PriceStats(window_size=10)
     assert stats.mean == 0.0
@@ -246,6 +263,31 @@ def test_reservation_floor_bound_random():
             res.slices_elapsed += 1
             assert res.slices_won >= math.floor(fraction * res.slices_elapsed)
         assert res.slices_won >= math.floor(fraction * period)
+
+
+def test_reservation_ceiling_bound():
+    """A reservation never takes more than ceil(fraction * elapsed) slices.
+
+    The target is exact on the fraction as written, so these take exactly
+    7, 14, 28, 55 and 56 of 100 slices, not one more.
+    """
+    exact = {0.07: 7, 0.14: 14, 0.28: 28, 0.55: 55, 0.56: 56}
+    rng = np.random.default_rng(18)
+    pairs = [(fraction, 100) for fraction in exact]
+    pairs += [(float(rng.uniform(0.01, 1.0)), int(rng.integers(1, 150)))
+              for _ in range(1000)]
+    for fraction, period in pairs:
+        share = Fraction(repr(fraction))
+        res = Reservation(agent_id="r", fraction=fraction, period=period,
+                          quoted_price=0.0)
+        while res.active():
+            if res.behind():
+                res.slices_won += 1
+            res.slices_elapsed += 1
+            assert res.slices_won <= math.ceil(share * res.slices_elapsed)
+        assert res.slices_won == math.ceil(share * period)
+        if fraction in exact:
+            assert res.slices_won == exact[fraction]
 
 
 # -- the stateful scheduler ----------------------------------------------

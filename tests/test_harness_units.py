@@ -118,7 +118,7 @@ def test_open_loop_policy_pays_incomes_and_drains_providers():
         policy = FundingPolicy(kind=PolicyKind.OPEN_LOOP,
                                income_rates={"u1": 1, "u2": 2, "u3": 3},
                                provider_accounts=("prov",))
-        assert apply_funding_policy(ledger, policy, tick=0) == skipped
+        assert apply_funding_policy(ledger, policy) == skipped
         assert [ledger.balance(u) for u in ("u1", "u2", "u3")] == paid
         assert ledger.balance("prov") == 0
         assert ledger.balance("admin") == admin - sum(paid) + 7
@@ -133,7 +133,6 @@ def test_closed_loop_policy_changes_nothing():
     apply_funding_policy(
         ledger,
         FundingPolicy(kind=PolicyKind.CLOSED_LOOP, income_rates={"u1": 1}),
-        tick=3,
     )
     assert ledger.accounts == before
 

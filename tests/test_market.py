@@ -4,39 +4,65 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tycoon_sim import cli
+from tycoon_sim import cli, market
 from tycoon_sim.errors import ExpiredTaskError, InvalidSpecError
 from tycoon_sim.market import (
     Behavior,
     MarketConfig,
-    MarketUser,
-    Task,
-    accrue_utility,
+    MarketSim,
     allocate_host_step,
     market_budget_weight,
-    obedient_weight,
     run_market_sim,
-    strategic_nomarket_weight,
 )
 
 
-def task(value=0.5, size=10.0, deadline=30.0, arrival=0.0):
-    return Task(task_id=0, owner=0, size=size, deadline=deadline,
-                value=value, arrival_time=arrival)
+def run_on_tasks(monkeypatch, tasks, **overrides):
+    """Run one MarketSim on a hand-built task table.
+
+    ``tasks`` holds (arrival, owner, size, deadline, value) rows in
+    arrival order.  Returns the finished sim and the weights of every
+    allocation the run made.
+    """
+    columns = [np.array(c, dtype=float) for c in zip(*tasks)]
+    columns[1] = columns[1].astype(np.intp)
+    monkeypatch.setattr(market, "_draw_tasks", lambda cfg, rng: columns)
+    weights_seen = []
+    fill = market.allocate_host_step
+
+    def spy(weights, remaining, capacity=1.0):
+        weights_seen.append(np.array(weights))
+        return fill(weights, remaining, capacity)
+
+    monkeypatch.setattr(market, "allocate_host_step", spy)
+    base = dict(num_users=2, num_hosts=1, duration=40)
+    base.update(overrides)
+    sim = MarketSim(MarketConfig(**base))
+    sim.run()
+    return sim, weights_seen
 
 
 # -- weight policies -------------------------------------------------------
 
 
-def test_obedient_weight_is_declared_value():
-    assert obedient_weight(task(value=0.7)) == 0.7
-    assert obedient_weight(task(value=1.0)) == 1.0
+# Three long tasks, live together from step 1 on.
+THREE_TASKS = [(0.5, 0, 50.0, 100.0, 0.7), (0.6, 1, 50.0, 100.0, 1.0),
+               (0.7, 0, 50.0, 100.0, 0.25)]
 
 
-def test_strategic_weight_is_the_cap():
-    assert strategic_nomarket_weight() == 1.0
-    assert strategic_nomarket_weight(max_weight=3.0) == 3.0
+def test_obedient_weight_is_declared_value(monkeypatch):
+    _, weights = run_on_tasks(monkeypatch, THREE_TASKS, duration=3)
+    assert [w.tolist() for w in weights] == [[0.7, 1.0, 0.25]] * 2
+
+
+def test_strategic_weight_is_the_cap(monkeypatch):
+    for cap in (1.0, 3.0):
+        _, weights = run_on_tasks(monkeypatch, THREE_TASKS, duration=3,
+                                  behavior=Behavior.STRATEGIC_NO_MARKET,
+                                  max_weight=cap)
+        assert [w.tolist() for w in weights] == [[cap] * 3] * 2
 
 
 def test_budget_weight_worked_example():
@@ -110,36 +136,72 @@ def test_allocation_rejects_malformed_input():
         allocate_host_step([1.0], [-1.0])
 
 
+weights_st = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+remaining_st = st.one_of(st.just(0.0), st.floats(1e-3, 10.0),
+                         st.just(float("inf")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(weights_st, remaining_st), max_size=40),
+       st.floats(0.1, 20.0))
+def test_grants_respect_capacity_demand_and_weight(tasks, capacity):
+    weights = np.array([w for w, _ in tasks], dtype=float)
+    remaining = np.array([r for _, r in tasks], dtype=float)
+    grant = allocate_host_step(weights, remaining, capacity)
+    assert np.all(grant >= 0.0)
+    assert grant.sum() <= capacity * (1 + 1e-12)
+    assert np.all(grant <= remaining)
+    # Tasks the fill never capped share in proportion to their weights.
+    uncapped = (weights > 0) & (remaining - grant > 1e-12)
+    per_weight = grant[uncapped] / weights[uncapped]
+    if per_weight.size:
+        assert per_weight.max() == pytest.approx(per_weight.min(), rel=1e-9)
+
+
 # -- utility ----------------------------------------------------------------
 
 
-def test_utility_requires_completion_by_deadline():
-    done = task(value=0.5, size=10.0, deadline=30.0)
-    done.work_done = done.size
-    assert accrue_utility(done, completion_time=29.0) == 5.0
-    assert accrue_utility(done, completion_time=31.0) == 0.0
-    unfinished = task()
-    unfinished.work_done = 9.9
-    assert accrue_utility(unfinished, completion_time=29.0) == 0.0
+def test_utility_requires_completion_by_deadline(monkeypatch):
+    # One size-10 task on one host runs steps 1..10 and finishes at 11.
+    on_time = [(0.5, 0, 10.0, 30.5, 0.5)]
+    sim, weights = run_on_tasks(monkeypatch, on_time)
+    assert (len(weights), sim.total_utility) == (10, 5.0)
+    # A free rider keeps a task past its deadline: it finishes, earns 0.
+    late = [(0.5, 0, 10.0, 8.5, 0.5)]
+    sim, weights = run_on_tasks(monkeypatch, late,
+                                behavior=Behavior.STRATEGIC_NO_MARKET)
+    assert (len(weights), sim.total_utility) == (10, 0.0)
+    # An obedient user withdraws it once it can no longer finish in time.
+    sim, weights = run_on_tasks(monkeypatch, late)
+    assert (len(weights), sim.total_utility) == (7, 0.0)
+    # Unfinished when the run ends: nothing.
+    sim, weights = run_on_tasks(monkeypatch, on_time, duration=5)
+    assert (len(weights), sim.total_utility) == (4, 0.0)
 
 
 # -- user accounting ---------------------------------------------------------
 
 
-def test_delta_log_replays_to_balance_exactly():
-    user = MarketUser(user_id=0, behavior=Behavior.STRATEGIC_MARKET,
-                      balance=10.0)
-    rng = np.random.default_rng(4)
-    for _ in range(1000):
-        amount = float(rng.random())
-        if rng.random() < 0.5 and user.balance >= amount:
-            user.debit(amount)
-        else:
-            user.credit(amount)
-    replay = 10.0
-    for delta in user.delta_log:
-        replay += delta
-    assert replay == user.balance  # same op order, bit-exact
+def test_budgeted_users_never_overspend(monkeypatch):
+    """No purse goes negative, and no user spends more than it was given."""
+    weights_for = MarketSim._weights_for
+    for ia, initial in ((20.0, 0.0), (80.0, 5.0)):
+        cfg = small_config(behavior=Behavior.STRATEGIC_MARKET, duration=300,
+                           mean_task_interarrival=ia, initial_balance=initial)
+        spent = np.zeros(cfg.num_users)
+        lowest = []
+
+        def spy(self, live, now):
+            weights = weights_for(self, live, now)
+            np.add.at(spent, self.owner[live], weights * cfg.num_hosts)
+            lowest.append(self.balance.min())
+            return weights
+
+        monkeypatch.setattr(MarketSim, "_weights_for", spy)
+        run_market_sim(cfg)
+        assert len(lowest) > 100 and spent.sum() > 0
+        assert min(lowest) >= 0.0
+        assert np.all(spent <= initial + cfg.income_rate * cfg.duration)
 
 
 # -- whole runs ---------------------------------------------------------------
@@ -186,6 +248,27 @@ def test_free_riders_lose_past_saturation():
                 run_market_sim(cfg).mean_utility_per_host_per_time_unit)
         results[behavior] = float(np.mean(values))
     assert results[Behavior.STRATEGIC_NO_MARKET] < results[Behavior.OBEDIENT]
+
+
+# repr-exact utilities of 20 users on 4 hosts for 300 steps (seed 5).  A
+# run that changes a float operation, or the order of the utility sum,
+# misses them in the last digits.
+PINNED_UTILITY = {
+    (Behavior.OBEDIENT, 80.0): 0.3220384527244685,
+    (Behavior.OBEDIENT, 20.0): 0.09516812880722118,
+    (Behavior.STRATEGIC_NO_MARKET, 80.0): 0.32203845272446846,
+    (Behavior.STRATEGIC_NO_MARKET, 20.0): 0.015401716711888188,
+    (Behavior.STRATEGIC_MARKET, 80.0): 0.3220384527244685,
+    (Behavior.STRATEGIC_MARKET, 20.0): 0.2691714197562027,
+}
+
+
+def test_market_runs_match_pinned_values():
+    for (behavior, ia), expected in PINNED_UTILITY.items():
+        cfg = small_config(behavior=behavior, mean_task_interarrival=ia,
+                           duration=300, rng_seed=5)
+        assert run_market_sim(cfg).mean_utility_per_host_per_time_unit \
+            == expected, (behavior, ia)
 
 
 def test_market_point_aggregates_seeds():

@@ -7,8 +7,8 @@ order is reproducible regardless of how handlers interleave their sends.
 """
 
 import heapq
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,14 +27,24 @@ class MessageKind(Enum):
     SPAWN_CHILD = "spawn_child"
 
 
-@dataclass
-class Message:
+class Message(NamedTuple):
+    """One message, and its own entry in the delivery heap.
+
+    The leading fields are the delivery order.  (delivery_time, sender,
+    seq) is unique, so heap comparisons never reach the fields after it.
+    """
+
+    delivery_time: float
     sender: str
+    seq: int
     recipient: str
     kind: MessageKind
-    payload: dict = field(default_factory=dict)
-    delivery_time: float = 0.0
-    seq: int = 0
+    payload: dict
+
+
+# Drop coins are drawn from the generator this many at a time; a block
+# yields the same doubles as one random() call per send.
+COIN_BLOCK = 256
 
 
 class Network:
@@ -55,7 +65,9 @@ class Network:
         self.latency = latency
         self.drop_probability = drop_probability
         self._rng = np.random.default_rng(seed)
-        self._queue = []
+        self._coins: list[float] = []
+        self._next_coin = 0
+        self._queue: list[Message] = []
         self._seq_by_sender = {}
         self._handlers = {}
         self.sent = 0
@@ -71,16 +83,20 @@ class Network:
     def send(self, now: float, sender: str, recipient: str,
              kind: MessageKind, payload: dict | None = None) -> None:
         self.sent += 1
-        if self.drop_probability and self._rng.random() < self.drop_probability:
-            self.dropped += 1
-            return
+        if self.drop_probability:
+            coins, i = self._coins, self._next_coin
+            if i == len(coins):
+                coins = self._coins = self._rng.random(COIN_BLOCK).tolist()
+                i = 0
+            self._next_coin = i + 1
+            if coins[i] < self.drop_probability:
+                self.dropped += 1
+                return
         seq = self._seq_by_sender.get(sender, 0)
         self._seq_by_sender[sender] = seq + 1
-        msg = Message(sender=sender, recipient=recipient, kind=kind,
-                      payload=payload or {},
-                      delivery_time=now + self.latency, seq=seq)
-        heapq.heappush(self._queue, (msg.delivery_time, msg.sender, msg.seq,
-                                     msg))
+        heapq.heappush(self._queue, Message(now + self.latency, sender, seq,
+                                            recipient, kind, payload or {}))
+
     def pump(self, now: float) -> int:
         """Deliver everything due at or before now; returns the count.
 
@@ -88,10 +104,11 @@ class Network:
         discarded, never raised: a crashed recipient must not take the
         rest of the system down with it.
         """
+        queue, handlers, pop = self._queue, self._handlers, heapq.heappop
         delivered = 0
-        while self._queue and self._queue[0][0] <= now:
-            _, _, _, msg = heapq.heappop(self._queue)
-            handler = self._handlers.get(msg.recipient)
+        while queue and queue[0][0] <= now:
+            msg = pop(queue)
+            handler = handlers.get(msg.recipient)
             if handler is None:
                 self.undeliverable += 1
                 continue

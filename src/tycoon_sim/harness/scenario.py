@@ -24,6 +24,11 @@ from .bank import (MICRO, BankLedger, FundingPolicy, PolicyKind,
 from .messages import MessageKind, Network
 from .sls import ServiceLocator
 
+# Message kinds read on every slice or settlement; a global is cheaper
+# than a member lookup.
+_TRANSFER = MessageKind.TRANSFER
+_FUND_AUCTIONEER = MessageKind.FUND_AUCTIONEER
+
 
 @dataclass
 class ScenarioConfig:
@@ -95,7 +100,6 @@ class _Seat:
     spent: float = 0.0
     settled_micro: int = 0    # spend already moved to the provider
     activate_at: float = 0.0
-    active: bool = False
 
 
 class _HostNode:
@@ -108,12 +112,15 @@ class _HostNode:
         self.index = index
         self.speed = (sim.config.host_speeds[index]
                       if index < len(sim.config.host_speeds) else 1.0)
+        self._work_per_slice = self.speed * sim.config.timeslice_length
         self.sched = AuctionShareScheduler(SchedulerConfig(
             timeslice_length=sim.config.timeslice_length,
             price_mode=sim.config.price_mode))
         self.alive = True
         self.children: dict[str, _Seat] = {}
         self._by_agent: dict[int, _Seat] = {}
+        # Seats not yet runnable, in the order they were opened.
+        self._pending: list[_Seat] = []
         self._tombstones: set[str] = set()
         self._next_agent_id = 0
         self.slices_alive = 0
@@ -133,13 +140,14 @@ class _HostNode:
             seat = _Seat(agent, f"escrow:{self.index}:{child_key}")
             self.children[child_key] = seat
             self._by_agent[agent.agent_id] = seat
+            self._pending.append(seat)
         return seat
 
     def handle(self, msg) -> None:
         kind, p = msg.kind, msg.payload
         if kind is MessageKind.SPAWN_CHILD:
             self._ensure_child(p["child_key"]).activate_at = p["activate_at"]
-        elif kind is MessageKind.FUND_AUCTIONEER:
+        elif kind is _FUND_AUCTIONEER:
             if p["child_key"] in self._tombstones:
                 # Funding raced a kill; the credits stay parked in the
                 # escrow account where the sweep can still collect them.
@@ -152,6 +160,7 @@ class _HostNode:
             seat = self.children.pop(p["child_key"], None)
             if seat is not None:
                 del self._by_agent[seat.agent.agent_id]
+                self._pending = [s for s in self._pending if s is not seat]
                 self.sched.set_runnable(seat.agent.agent_id, False)
         elif kind is MessageKind.QUERY_PROGRESS:
             self.sim.network.send(
@@ -172,10 +181,14 @@ class _HostNode:
         if not self.alive:
             return
         now = self.sim.now
-        for seat in self.children.values():
-            if not seat.active and now >= seat.activate_at:
-                seat.active = True
-                self.sched.set_runnable(seat.agent.agent_id, True)
+        if self._pending:
+            waiting = []
+            for seat in self._pending:
+                if now >= seat.activate_at:
+                    self.sched.set_runnable(seat.agent.agent_id, True)
+                else:
+                    waiting.append(seat)
+            self._pending = waiting
         self.slices_alive += 1
         result = self.sched.run_slice()
         if result.winner is None:
@@ -183,7 +196,7 @@ class _HostNode:
         self.slices_won += 1
         # Only seated, activated agents are runnable, so the winner has a seat.
         seat = self._by_agent[result.winner]
-        seat.progress += self.speed * self.sim.config.timeslice_length
+        seat.progress += self._work_per_slice
         seat.spent += result.payment
         # Settle whole micro-credits of the spend into the provider
         # account; the fractional tail stays in escrow.
@@ -192,7 +205,7 @@ class _HostNode:
         if delta > 0:
             seat.settled_micro = due
             self.sim.network.send(
-                now, self.host_id, "bank", MessageKind.TRANSFER,
+                now, self.host_id, "bank", _TRANSFER,
                 {"from": seat.escrow, "to": self.provider_account,
                  "amount": delta})
 
@@ -355,7 +368,8 @@ class _BankNode:
     def handle(self, msg) -> None:
         p = msg.payload
         ledger = self.sim.ledger
-        if msg.kind is MessageKind.FUND_AUCTIONEER:
+        kind = msg.kind
+        if kind is _FUND_AUCTIONEER:
             host_index = int(p["host"].split(":")[1])
             escrow = f"escrow:{host_index}:{p['child_key']}"
             if escrow not in ledger.accounts:
@@ -370,7 +384,7 @@ class _BankNode:
                                   MessageKind.FUND_AUCTIONEER,
                                   {"child_key": p["child_key"],
                                    "amount": p["amount"]})
-        elif msg.kind is MessageKind.TRANSFER:
+        elif kind is _TRANSFER:
             amount = p["amount"]
             if amount is None:
                 amount = ledger.accounts.get(p["from"], 0)

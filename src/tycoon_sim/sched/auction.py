@@ -26,6 +26,9 @@ from ..errors import (
 from .bidheap import BidHeap
 from .types import AgentAccount, PriceMode, PriceStats, Reservation, SchedulerConfig
 
+# Read on every charged slice; a global is cheaper than a member lookup.
+_SECOND_PRICE = PriceMode.SECOND_PRICE
+
 
 def compute_bid(account: AgentAccount) -> float:
     """Price per timeslice the agent currently offers."""
@@ -61,7 +64,7 @@ def charge(
         raise InvalidElapsedError(
             f"elapsed {elapsed} outside (0, {config.timeslice_length}]"
         )
-    if config.price_mode is PriceMode.SECOND_PRICE:
+    if config.price_mode is _SECOND_PRICE:
         rate = second_bid if second_bid is not None else 0.0
     else:
         rate = compute_bid(account)
@@ -128,7 +131,7 @@ def reservation_accept(
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class SliceResult:
     """Outcome of one auctioned timeslice."""
 
@@ -206,11 +209,14 @@ class AuctionShareScheduler:
     # -- the auction round ----------------------------------------------
 
     def run_slice(self, elapsed: float | None = None) -> SliceResult:
+        config = self.config
         if elapsed is None:
-            elapsed = self.config.timeslice_length
-
-        top = self.heap.peek()
-        reservation = pending_reservation(self.reservations)
+            elapsed = config.timeslice_length
+        heap = self.heap
+        top = heap.peek()
+        reservations = self.reservations
+        # Most hosts never sell a reservation; skip their bookkeeping.
+        reservation = pending_reservation(reservations) if reservations else None
 
         if reservation is not None:
             # Prepaid proxy win; priced at the best competing spot bid.
@@ -221,22 +227,23 @@ class AuctionShareScheduler:
             reservation.slices_won += 1
             self.price_stats.observe(clearing)
         elif top is not None:
-            winner_id, _ = top
-            runner_up = self.heap.second()
+            winner_id = top[0]
+            runner_up = heap.second()
             second_bid = runner_up[1] if runner_up is not None else 0.0
             account = self.accounts[winner_id]
-            payment = charge(account, elapsed, self.config, second_bid)
+            payment = charge(account, elapsed, config, second_bid)
             self.revenue += payment
-            self.heap.update(winner_id, compute_bid(account))
-            clearing = payment / (elapsed / self.config.timeslice_length)
+            heap.update(winner_id, compute_bid(account))
+            clearing = payment / (elapsed / config.timeslice_length)
             result = SliceResult(self.slice_index, winner_id, payment, clearing)
             self.price_stats.observe(clearing)
         else:
             result = SliceResult(self.slice_index, None, 0.0, 0.0)
 
-        for r in self.reservations:
-            if r.active():
-                r.slices_elapsed += 1
-        self.reservations = [r for r in self.reservations if r.active()]
+        if reservations:
+            for r in reservations:
+                if r.active():
+                    r.slices_elapsed += 1
+            self.reservations = [r for r in reservations if r.active()]
         self.slice_index += 1
         return result

@@ -26,9 +26,6 @@ class BidHeap:
     def __contains__(self, agent_id) -> bool:
         return agent_id in self._pos
 
-    def bid_of(self, agent_id) -> float:
-        return self._bids[self._pos[agent_id]]
-
     def _before(self, i: int, j: int) -> bool:
         """True when entry i outranks entry j."""
         self.comparisons += 1
@@ -36,35 +33,62 @@ class BidHeap:
             return self._bids[i] > self._bids[j]
         return self._ids[i] < self._ids[j]
 
-    def _swap(self, i: int, j: int) -> None:
-        self._ids[i], self._ids[j] = self._ids[j], self._ids[i]
-        self._bids[i], self._bids[j] = self._bids[j], self._bids[i]
-        self._pos[self._ids[i]] = i
-        self._pos[self._ids[j]] = j
+    # The sifts inline ``_before`` on local lists and carry the moving
+    # entry in a hole, writing it once where it comes to rest.  Each
+    # entry-vs-entry test counts one comparison, as ``_before`` does.
 
     def _sift_up(self, i: int) -> None:
+        ids, bids, pos = self._ids, self._bids, self._pos
+        agent, bid = ids[i], bids[i]
+        tests = 0
         while i > 0:
-            parent = (i - 1) // 2
-            if self._before(i, parent):
-                self._swap(i, parent)
-                i = parent
-            else:
-                return
+            parent = (i - 1) >> 1
+            parent_bid = bids[parent]
+            tests += 1
+            if not (bid > parent_bid if bid != parent_bid
+                    else agent < ids[parent]):
+                break
+            ids[i] = moved = ids[parent]
+            bids[i] = parent_bid
+            pos[moved] = i
+            i = parent
+        ids[i] = agent
+        bids[i] = bid
+        pos[agent] = i
+        self.comparisons += tests
 
     def _sift_down(self, i: int) -> None:
-        n = len(self._ids)
+        ids, bids, pos = self._ids, self._bids, self._pos
+        n = len(ids)
+        agent, bid = ids[i], bids[i]
+        tests = 0
         while True:
             left = 2 * i + 1
+            if left >= n:
+                break
+            best, best_id, best_bid = i, agent, bid
+            child_bid = bids[left]
+            tests += 1
+            if (child_bid > best_bid if child_bid != best_bid
+                    else ids[left] < best_id):
+                best, best_id, best_bid = left, ids[left], child_bid
             right = left + 1
-            best = i
-            if left < n and self._before(left, best):
-                best = left
-            if right < n and self._before(right, best):
-                best = right
+            if right < n:
+                child_bid = bids[right]
+                tests += 1
+                if (child_bid > best_bid if child_bid != best_bid
+                        else ids[right] < best_id):
+                    best, best_id, best_bid = right, ids[right], child_bid
             if best == i:
-                return
-            self._swap(i, best)
+                break
+            ids[i] = best_id
+            bids[i] = best_bid
+            pos[best_id] = i
             i = best
+        ids[i] = agent
+        bids[i] = bid
+        pos[agent] = i
+        self.comparisons += tests
 
     def push(self, agent_id, bid: float) -> None:
         if agent_id in self._pos:

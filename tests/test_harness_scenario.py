@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tycoon_sim.errors import ConfigError
 from tycoon_sim.harness.bank import MICRO, PolicyKind, credits_to_micro
@@ -181,6 +183,46 @@ def test_reclaim_from_an_unopened_escrow_is_a_rejected_transfer():
     assert sim.rejected_transfers == 1
     assert sim.parents[0].reclaimed_micro == 0
     assert sim.ledger.total_balance() == sim.ledger.total_issued
+
+
+@st.composite
+def small_scenarios(draw):
+    num_hosts = draw(st.integers(1, 4))
+    duration = draw(st.floats(0.05, 5.0))
+    parents = tuple(
+        ParentJob(total_credits=draw(st.floats(0.05, 6.0)),
+                  deadline_minutes=draw(st.sampled_from([0.25, 1.0, 2.0])),
+                  num_hosts=draw(st.integers(1, 3)))
+        for _ in range(draw(st.integers(1, 3))))
+    kills = draw(st.lists(st.tuples(st.floats(0.0, duration),
+                                    st.integers(0, num_hosts - 1)),
+                          max_size=2))
+    return ScenarioConfig(
+        num_hosts=num_hosts, parents=parents, duration=duration,
+        policy_kind=draw(st.sampled_from(list(PolicyKind))),
+        drop_probability=draw(st.floats(0.0, 0.3)),
+        message_latency=draw(st.floats(0.0, 0.02)),
+        kill_hosts=tuple(kills),
+        # Short intervals, so that monitoring, replacement and open-loop
+        # payments happen inside a few seconds.
+        monitor_interval=draw(st.sampled_from([0.5, 1.0, 5.0])),
+        report_timeout=draw(st.sampled_from([0.7, 2.0, 12.0])),
+        migration_overhead=draw(st.sampled_from([0.0, 0.5])),
+        funding_interval=draw(st.sampled_from([0.5, 1.0])),
+        admin_pool=draw(st.sampled_from([0.5, 100.0])),
+        audit_every_slice=True,
+        rng_seed=draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_scenarios())
+def test_random_small_scenarios_keep_the_books(cfg):
+    # audit_every_slice raises as soon as any slice leaves the ledger
+    # out of balance.
+    report = run_harness_scenario(cfg)
+    assert report.ledger_ok
+    assert report.no_negative_balances
+    assert report.total_issued == report.final_total
 
 
 def test_config_rejects_nonsense():

@@ -26,7 +26,8 @@ from tycoon_sim.harness.bank import (
     credits_to_micro,
     micro_to_credits,
 )
-from tycoon_sim.harness.messages import MessageKind, Network
+from tycoon_sim.harness.messages import Message, MessageKind, Network
+from tycoon_sim.harness.scenario import HarnessSim, ScenarioConfig
 from tycoon_sim.harness.sls import ServiceLocator
 
 
@@ -239,12 +240,23 @@ def test_nonpositive_ttl_rejected():
 def test_delivery_order_is_time_then_sender_then_sequence():
     log = []
     net = Network()
-    net.register("x", lambda m: log.append(("x", m.sender, m.payload["n"])))
+    for name in ("x", "y"):
+        net.register(name, lambda m, name=name: log.append(
+            (name, m.sender, m.payload["n"])))
+    net.send(1.0, "a", "x", MessageKind.TRANSFER, {"n": 0})
     net.send(0.0, "b", "x", MessageKind.TRANSFER, {"n": 1})
     net.send(0.0, "a", "x", MessageKind.TRANSFER, {"n": 2})
     net.send(0.0, "a", "x", MessageKind.TRANSFER, {"n": 3})
+    # Ties on time and sender go by sequence alone: the recipients, kinds
+    # and payloads below would order differently, or not at all.
+    net.send(0.0, "a", "y", MessageKind.SPAWN_CHILD, {"n": 4})
+    net.send(0.0, "a", "x", MessageKind.ADVERTISE, {"n": 5})
+    net.send(0.0, "a", "x", MessageKind.ADVERTISE, {"n": 6})
     net.pump(0.0)
-    assert log == [("x", "a", 2), ("x", "a", 3), ("x", "b", 1)]
+    assert log == [("x", "a", 2), ("x", "a", 3), ("y", "a", 4),
+                   ("x", "a", 5), ("x", "a", 6), ("x", "b", 1)]
+    net.pump(1.0)
+    assert log[-1] == ("x", "a", 0)
 
 
 def test_zero_latency_chains_settle_in_one_pump():
@@ -291,8 +303,83 @@ def test_drops_are_seeded_and_counted():
     assert len(first) + dropped == 500
 
 
+@pytest.mark.parametrize("seed", [3, 17, 2024])
+def test_drop_stream_is_one_coin_per_send(seed):
+    # 1,000 sends cross several coin blocks; send i is dropped exactly
+    # when the i-th draw of the seed's generator falls below p.
+    p = 0.3
+    net = Network(drop_probability=p, seed=seed)
+    delivered = []
+    net.register("x", lambda m: delivered.append(m.payload["i"]))
+    for i in range(1000):
+        net.send(0.0, "a", "x", MessageKind.TRANSFER, {"i": i})
+    net.pump(0.0)
+    rng = np.random.default_rng(seed)
+    expected = {i for i in range(1000) if rng.random() < p}
+    assert set(range(1000)) - set(delivered) == expected
+    assert net.dropped == len(expected)
+
+
 def test_unregistered_recipient_is_counted_not_raised():
     net = Network()
     net.send(0.0, "a", "nobody", MessageKind.TRANSFER, {})
     net.pump(0.0)
     assert net.undeliverable == 1
+
+
+# -- host activation -------------------------------------------------------
+
+
+def one_host():
+    """A one-host harness whose host is driven by hand, plus a log of the
+    agent ids its scheduler pushes onto the bid heap."""
+    sim = HarnessSim(ScenarioConfig(num_hosts=1, duration=1.0))
+    host = sim.hosts[0]
+    pushed = []
+    push = host.sched.heap.push
+
+    def spy(agent_id, bid):
+        pushed.append(agent_id)
+        push(agent_id, bid)
+
+    host.sched.heap.push = spy
+    return sim, host, pushed
+
+
+def to_host(kind, **payload):
+    return Message(delivery_time=0.0, sender="parent:0", seq=0,
+                   recipient="host:0", kind=kind, payload=payload)
+
+
+def test_seat_killed_before_activation_never_enters_the_heap():
+    sim, host, pushed = one_host()
+    host.handle(to_host(MessageKind.SPAWN_CHILD, child_key="p/c0",
+                        activate_at=0.5))
+    host.handle(to_host(MessageKind.FUND_AUCTIONEER, child_key="p/c0",
+                        amount=MICRO))
+    agent_id = host.children["p/c0"].agent.agent_id
+    sim.now = 0.2
+    host.run_slice()
+    host.handle(to_host(MessageKind.KILL_CHILD, child_key="p/c0"))
+    sim.now = 1.0
+    host.run_slice()
+    assert pushed == []
+    assert agent_id not in host.sched.heap
+    assert host.slices_won == 0
+
+
+def test_seats_due_in_one_slice_enter_the_heap_in_open_order():
+    sim, host, pushed = one_host()
+    # Opened in key order; due in a different order, all by t = 0.3.
+    due = {"p/c0": 0.3, "p/c1": 0.1, "p/c2": 0.2}
+    for key, at in due.items():
+        host.handle(to_host(MessageKind.SPAWN_CHILD, child_key=key,
+                            activate_at=at))
+    ids = [host.children[key].agent.agent_id for key in due]
+    sim.now = 0.05
+    host.run_slice()
+    assert pushed == []
+    sim.now = 0.3
+    host.run_slice()
+    assert pushed == ids
+    assert all(agent_id in host.sched.heap for agent_id in ids)

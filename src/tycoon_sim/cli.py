@@ -184,7 +184,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      "(default: $TYCOON_SIM_OUT, else ./results)")
     run.add_argument("--set", dest="overrides", action="append", default=[],
                      metavar="KEY=VALUE",
-                     help="override a config value, e.g. host.rng_seed=7")
+                     help="override a config value, "
+                     "e.g. harness.drop_probability=0.05")
 
     val = sub.add_parser("validate", help="check a config file and exit")
     val.add_argument("--config", required=True)

@@ -3,29 +3,36 @@
 A configuration file carries one top-level block per simulation module
 (``host``, ``market``, ``harness``) plus run controls (``seeds``,
 ``repetitions``, ``sweep``).  The experiment and the output directory
-come from the command line only.  Omitted parameters fall back to the
-module defaults.  Unknown keys anywhere are rejected rather than
-ignored: a typo that silently falls back to a default is worse than an
-error.  ``--set a.b=value`` overrides are applied on top of the file
-content before validation, so they win.
+come from the command line only, and seeds only from ``seeds``,
+``--seed`` or ``--seeds``.  Omitted parameters fall back to the module
+defaults.  Unknown keys anywhere are rejected rather than ignored: a
+typo that silently falls back to a default is worse than an error.
+
+Each block is checked against the type hints of the dataclass it
+builds, then against that dataclass's ``validate()``.  Counts are JSON
+integers (``2.5`` and ``1e3`` are rejected), flags are ``true`` or
+``false``, and float fields accept integers, stored as floats so ``60``
+and ``60.0`` hash alike.  ``--set a.b=value`` overrides are applied on
+top of the file content before validation, so they win.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import sys
+import typing
 from enum import Enum
 
-from .errors import ConfigError
-from .harness.bank import PolicyKind
-from .harness.agents import ParentJob
+from .errors import ConfigError, TycoonError
 from .harness.scenario import ScenarioConfig
-from .hostsim import FundingMode, HostSimConfig, SchedulerKind, WorkloadSpec
+from .hostsim import HostSimConfig
 from .market import Behavior, MarketConfig
-from .sched.types import PriceMode
 
 __all__ = [
     "Experiment",
+    "SweepConfig",
     "apply_overrides",
     "build_harness_config",
     "build_host_config",
@@ -48,7 +55,6 @@ class Experiment(Enum):
 
 
 _TOP_KEYS = ("seeds", "repetitions", "host", "market", "harness", "sweep")
-_SWEEP_KEYS = ("interarrivals", "behaviors")
 
 # Load sweep for the utility curve: interarrival means from light load
 # down to well past the saturation point at 100.
@@ -57,6 +63,20 @@ DEFAULT_SWEEP_INTERARRIVALS = (140.0, 120.0, 100.0, 80.0, 60.0, 50.0, 40.0, 20.0
 #: Replicates shift every listed seed by this stride so replicate runs
 #: never collide with the listed seeds themselves.
 REPETITION_SEED_STRIDE = 1000
+
+
+@dataclasses.dataclass
+class SweepConfig:
+    """The grid a utility sweep covers: every behavior at every load."""
+
+    interarrivals: tuple[float, ...] = DEFAULT_SWEEP_INTERARRIVALS
+    behaviors: tuple[Behavior, ...] = tuple(Behavior)
+
+    def validate(self) -> None:
+        if not self.interarrivals or min(self.interarrivals) <= 0:
+            raise ConfigError("interarrivals: need at least one, all > 0")
+        if not self.behaviors:
+            raise ConfigError("behaviors: must not be empty")
 
 
 def load_config(path) -> dict:
@@ -102,113 +122,82 @@ def apply_overrides(doc: dict, assignments: list[str]) -> dict:
 
 def _check_keys(block: dict, allowed, where: str) -> None:
     if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be a JSON object")
+        raise ConfigError(f"invalid {where}: must be a JSON object")
     unknown = sorted(set(block) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
-def _coerce_enum(cls, raw, where: str):
-    if isinstance(raw, cls):
+_hints = functools.cache(typing.get_type_hints)
+_JSON_TYPES = {int: "integer", float: "number", bool: "boolean"}
+_FLOAT_MAX = sys.float_info.max  # also rejects NaN and infinities
+
+
+def _fields(cls, block, where: str) -> dict:
+    """Constructor arguments for ``cls``, each checked and converted.
+    No block sets ``rng_seed``: seeds come only from the run's seed list."""
+    hints = _hints(cls)
+    _check_keys(block, hints.keys() - {"rng_seed"}, where)
+    return {key: _value(hints[key], raw, f"{where}.{key}")
+            for key, raw in block.items()}
+
+
+def _value(hint, raw, where: str):
+    if dataclasses.is_dataclass(hint):
+        return hint(**_fields(hint, raw, where))
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        fixed = args[-1] is not Ellipsis
+        if not isinstance(raw, (list, tuple)) or fixed and len(raw) != len(args):
+            size = f" of {len(args)}" if fixed else ""
+            raise ConfigError(f"invalid {where}: must be a JSON array{size}")
+        items = args if fixed else args[:1] * len(raw)
+        return tuple(_value(item, v, f"{where}[{i}]")
+                     for i, (item, v) in enumerate(zip(items, raw)))
+    if issubclass(hint, Enum):
+        try:
+            return hint(raw)
+        except ValueError:
+            choices = ", ".join(member.value for member in hint)
+            raise ConfigError(
+                f"invalid {where}: must be one of: {choices}") from None
+    # bool is a subclass of int, so compare exact types.
+    if type(raw) is hint and hint in (int, bool):
         return raw
+    if hint is float and type(raw) in (int, float) and abs(raw) <= _FLOAT_MAX:
+        return float(raw)
+    raise ConfigError(f"invalid {where}: must be a JSON {_JSON_TYPES[hint]}")
+
+
+def _build(cls, block, where: str, seed: int | None = None):
+    kwargs = _fields(cls, block, where)
+    if seed is not None:
+        kwargs["rng_seed"] = seed
+    built = cls(**kwargs)
     try:
-        return cls(raw)
-    except ValueError:
-        choices = ", ".join(member.value for member in cls)
-        raise ConfigError(f"{where} must be one of: {choices}") from None
-
-
-def _field_names(cls) -> tuple:
-    return tuple(f.name for f in dataclasses.fields(cls))
-
-
-def _build(cls, kwargs: dict, where: str):
-    # Wrong-typed values surface as TypeError deep inside validate();
-    # report them as the config problem they are.
-    try:
-        built = cls(**kwargs)
+        # validate() messages start with the field they name.
         built.validate()
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {where} parameters: {exc}") from exc
+    except TycoonError as exc:
+        raise ConfigError(f"invalid {where}.{exc}") from None
     return built
 
 
 def build_host_config(block: dict, seed: int | None = None) -> HostSimConfig:
-    _check_keys(block, _field_names(HostSimConfig), "host")
-    kwargs = dict(block)
-    if "web" in kwargs:
-        web = dict(kwargs["web"]) if isinstance(kwargs["web"], dict) else None
-        if web is None:
-            raise ConfigError("host.web must be a JSON object")
-        _check_keys(web, _field_names(WorkloadSpec), "host.web")
-        kwargs["web"] = WorkloadSpec(**web)
-    if "weights" in kwargs:
-        kwargs["weights"] = tuple(kwargs["weights"])
-    for name, cls in (("scheduler", SchedulerKind),
-                      ("funding_mode", FundingMode),
-                      ("price_mode", PriceMode)):
-        if name in kwargs:
-            kwargs[name] = _coerce_enum(cls, kwargs[name], f"host.{name}")
-    if seed is not None:
-        kwargs["rng_seed"] = seed
-    return _build(HostSimConfig, kwargs, "host")
+    return _build(HostSimConfig, block, "host", seed)
 
 
 def build_market_config(block: dict, seed: int | None = None) -> MarketConfig:
-    _check_keys(block, _field_names(MarketConfig), "market")
-    kwargs = dict(block)
-    if "behavior" in kwargs:
-        kwargs["behavior"] = _coerce_enum(Behavior, kwargs["behavior"],
-                                          "market.behavior")
-    if seed is not None:
-        kwargs["rng_seed"] = seed
-    return _build(MarketConfig, kwargs, "market")
+    return _build(MarketConfig, block, "market", seed)
 
 
 def build_harness_config(block: dict, seed: int | None = None) -> ScenarioConfig:
-    _check_keys(block, _field_names(ScenarioConfig), "harness")
-    kwargs = dict(block)
-    if "parents" in kwargs:
-        parents = []
-        for i, spec in enumerate(kwargs["parents"]):
-            where = f"harness.parents[{i}]"
-            _check_keys(spec, _field_names(ParentJob), where)
-            parents.append(ParentJob(**spec))
-        kwargs["parents"] = tuple(parents)
-    if "host_speeds" in kwargs:
-        kwargs["host_speeds"] = tuple(kwargs["host_speeds"])
-    if "kill_hosts" in kwargs:
-        kills = []
-        for entry in kwargs["kill_hosts"]:
-            if len(entry) != 2:
-                raise ConfigError(
-                    "harness.kill_hosts entries are [time, host_index] pairs")
-            kills.append((float(entry[0]), int(entry[1])))
-        kwargs["kill_hosts"] = tuple(kills)
-    for name, cls in (("policy_kind", PolicyKind), ("price_mode", PriceMode)):
-        if name in kwargs:
-            kwargs[name] = _coerce_enum(cls, kwargs[name], f"harness.{name}")
-    if seed is not None:
-        kwargs["rng_seed"] = seed
-    return _build(ScenarioConfig, kwargs, "harness")
+    return _build(ScenarioConfig, block, "harness", seed)
 
 
 def sweep_points(doc: dict) -> tuple[list[float], list[Behavior]]:
     """The (interarrival values, behaviors) grid a utility sweep covers."""
-    block = doc.get("sweep", {})
-    _check_keys(block, _SWEEP_KEYS, "sweep")
-    values = [float(v) for v in block.get("interarrivals",
-                                          DEFAULT_SWEEP_INTERARRIVALS)]
-    if not values or any(v <= 0 for v in values):
-        raise ConfigError("sweep.interarrivals must be positive")
-    behaviors = [_coerce_enum(Behavior, b, "sweep.behaviors")
-                 for b in block.get("behaviors",
-                                    [m.value for m in Behavior])]
-    if not behaviors:
-        raise ConfigError("sweep.behaviors must not be empty")
-    return values, behaviors
+    sweep = _build(SweepConfig, doc.get("sweep", {}), "sweep")
+    return list(sweep.interarrivals), list(sweep.behaviors)
 
 
 def default_seeds(experiment: Experiment) -> list[int]:
@@ -233,13 +222,9 @@ def validate_config(doc: dict) -> None:
     so a config stays valid when reused across experiments.
     """
     _check_keys(doc, _TOP_KEYS, "config")
-    seeds = doc.get("seeds", [])
-    if (not isinstance(seeds, list)
-            or any(not isinstance(s, int) or isinstance(s, bool) for s in seeds)):
-        raise ConfigError("seeds must be a list of integers")
-    reps = doc.get("repetitions", 1)
-    if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
-        raise ConfigError("repetitions must be an integer >= 1")
+    _value(tuple[int, ...], doc.get("seeds", []), "seeds")
+    if _value(int, doc.get("repetitions", 1), "repetitions") < 1:
+        raise ConfigError("invalid repetitions: must be >= 1")
     build_host_config(doc.get("host", {}))
     build_market_config(doc.get("market", {}))
     build_harness_config(doc.get("harness", {}))
@@ -254,8 +239,6 @@ def _plain(value):
                 for f in dataclasses.fields(value)}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
     return value
 
 
@@ -275,8 +258,5 @@ def resolved_config(doc: dict, experiment: Experiment,
         "host": _plain(build_host_config(doc.get("host", {}))),
         "market": _plain(build_market_config(doc.get("market", {}))),
         "harness": _plain(build_harness_config(doc.get("harness", {}))),
-        "sweep": {
-            "interarrivals": sweep_points(doc)[0],
-            "behaviors": [b.value for b in sweep_points(doc)[1]],
-        },
+        "sweep": _plain(_build(SweepConfig, doc.get("sweep", {}), "sweep")),
     }

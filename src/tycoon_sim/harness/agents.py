@@ -11,7 +11,7 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from ..errors import InvalidSpecError
+from ..errors import ConfigError, InvalidSpecError
 
 
 @dataclass
@@ -22,6 +22,14 @@ class ParentJob:
     deadline_minutes: float = 2.0
     num_hosts: int = 2
     performance_cost_threshold: float = 0.5
+
+    def validate(self) -> None:
+        if self.num_hosts < 1:
+            raise ConfigError("num_hosts: must be >= 1")
+        if self.deadline_minutes <= 0:
+            raise ConfigError("deadline_minutes: must be > 0")
+        if self.total_credits < 0:
+            raise ConfigError("total_credits: must be >= 0")
 
 
 @dataclass

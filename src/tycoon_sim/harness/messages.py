@@ -12,8 +12,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import ConfigError
-
 
 class MessageKind(Enum):
     TRANSFER = "transfer"
@@ -48,7 +46,7 @@ COIN_BLOCK = 256
 
 
 class Network:
-    """Priority-queue message fabric with optional latency and loss.
+    """Priority-queue message fabric, optional latency (>= 0) and loss (< 1).
 
     Handlers registered per component id are invoked at delivery time and
     may send further messages; a zero-latency send from inside a handler
@@ -58,10 +56,6 @@ class Network:
 
     def __init__(self, latency: float = 0.0, drop_probability: float = 0.0,
                  seed: int = 0):
-        if latency < 0:
-            raise ConfigError("latency must be >= 0")
-        if not 0.0 <= drop_probability < 1.0:
-            raise ConfigError("drop_probability must be in [0, 1)")
         self.latency = latency
         self.drop_probability = drop_probability
         self._rng = np.random.default_rng(seed)

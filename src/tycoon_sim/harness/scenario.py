@@ -33,7 +33,7 @@ _FUND_AUCTIONEER = MessageKind.FUND_AUCTIONEER
 @dataclass
 class ScenarioConfig:
     num_hosts: int = 3
-    parents: tuple = (ParentJob(), ParentJob())
+    parents: tuple[ParentJob, ...] = (ParentJob(), ParentJob())
     duration: float = 60.0
     timeslice_length: float = 0.010
     policy_kind: PolicyKind = PolicyKind.CLOSED_LOOP
@@ -51,9 +51,9 @@ class ScenarioConfig:
     drop_probability: float = 0.0
     # Relative work produced per slice on each host; shorter than
     # num_hosts pads with 1.0.
-    host_speeds: tuple = ()
+    host_speeds: tuple[float, ...] = ()
     # (time, host_index) pairs: the host vanishes at that instant.
-    kill_hosts: tuple = ()
+    kill_hosts: tuple[tuple[float, int], ...] = ()
     # Open-loop knobs: per-parent income per funding interval, and the
     # administrator pool that pays for it.
     funding_interval: float = 5.0
@@ -63,12 +63,30 @@ class ScenarioConfig:
     rng_seed: int = 42
 
     def validate(self) -> None:
-        if self.num_hosts <= 0 or not self.parents:
-            raise ConfigError("need at least one host and one parent")
-        if self.duration <= 0 or self.timeslice_length <= 0:
-            raise ConfigError("duration and timeslice must be > 0")
+        if not self.parents:
+            raise ConfigError("parents: need at least one parent")
+        for i, job in enumerate(self.parents):
+            try:
+                job.validate()
+            except ConfigError as exc:
+                raise ConfigError(f"parents[{i}].{exc}") from None
+        for name in ("num_hosts", "duration", "timeslice_length",
+                     "funding_chunk_minutes", "sls_ttl", "advertise_interval",
+                     "monitor_interval", "funding_interval"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name}: must be > 0")
+        for name in ("message_latency", "open_loop_income", "admin_pool"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name}: must be >= 0")
+        if not 0 <= self.drop_probability < 1:
+            raise ConfigError("drop_probability: must be in [0, 1)")
         if not 0 < self.refresh_fraction < 1:
-            raise ConfigError("refresh_fraction must be in (0,1)")
+            raise ConfigError("refresh_fraction: must be in (0, 1)")
+        for i, speed in enumerate(self.host_speeds):
+            if speed <= 0:
+                raise ConfigError(f"host_speeds[{i}]: must be > 0")
+        if len(self.host_speeds) > self.num_hosts:
+            raise ConfigError("host_speeds: more entries than num_hosts")
         for _, host in self.kill_hosts:
             if not 0 <= host < self.num_hosts:
                 raise ConfigError(
@@ -460,8 +478,7 @@ class HarnessSim:
                                         for h in self.hosts))
         else:
             self.policy = FundingPolicy(kind=PolicyKind.CLOSED_LOOP)
-        self._pending_kills = sorted(
-            (t, int(h)) for t, h in config.kill_hosts)
+        self._pending_kills = sorted(config.kill_hosts)
 
     def _every(self, k: int, interval: float) -> bool:
         step = max(1, round(interval / self.config.timeslice_length))

@@ -84,7 +84,7 @@ class HostSimConfig:
     num_timeslices: int = 1000
     timeslice_length: float = 0.010
     # Web process first; batch weights (PS) or income rates (auction) after.
-    weights: tuple = (1.0, 2.0, 3.0, 4.0)
+    weights: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0)
     web_intended_share: float = 0.1
     web: WorkloadSpec = field(default_factory=WorkloadSpec)
     warmup_slices: int = 100
@@ -96,24 +96,24 @@ class HostSimConfig:
     price_mode: PriceMode = PriceMode.SECOND_PRICE
 
     def validate(self) -> None:
-        if self.num_timeslices <= 0 or self.timeslice_length <= 0:
-            raise ConfigError("slice count and length must be positive")
+        for name in ("num_timeslices", "timeslice_length",
+                     "funding_mean_interval"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name}: must be > 0")
         if not 0 <= self.warmup_slices < self.num_timeslices:
-            raise ConfigError("warmup must leave a measurement window")
+            raise ConfigError("warmup_slices: must leave a measurement window")
         if len(self.weights) < 2 or any(w <= 0 for w in self.weights):
             raise ConfigError(
-                "need a web process plus at least one batch process, "
-                "all with positive weight")
+                "weights: need a web process plus at least one batch "
+                "process, all with positive weight")
         if not 0.0 <= self.web.request_probability <= 1.0:
-            raise ConfigError("request_probability is a per-slice coin")
+            raise ConfigError("web.request_probability: must be in [0, 1]")
         if self.web.service_demand <= 0:
-            raise ConfigError("service_demand must be positive")
+            raise ConfigError("web.service_demand: must be > 0")
         if not 0.0 < self.web_intended_share < 1.0:
-            raise ConfigError("web_intended_share must be a proper fraction")
-        if self.funding_mean_interval <= 0:
-            raise ConfigError("funding_mean_interval must be positive")
+            raise ConfigError("web_intended_share: must be in (0, 1)")
         if self.initial_funding_intervals < 0:
-            raise ConfigError("initial_funding_intervals cannot be negative")
+            raise ConfigError("initial_funding_intervals: must be >= 0")
 
 
 @dataclass

@@ -47,14 +47,13 @@ class MarketConfig:
     rng_seed: int = 42
 
     def validate(self) -> None:
-        if self.num_users <= 0 or self.num_hosts <= 0 or self.duration < 0:
-            raise InvalidSpecError("counts must be positive")
-        if self.mean_task_interarrival <= 0:
-            raise InvalidSpecError("mean_task_interarrival must be > 0")
-        if self.mean_task_size <= 0 or self.mean_task_deadline <= 0:
-            raise InvalidSpecError("task distribution means must be > 0")
-        if self.max_weight <= 0:
-            raise InvalidSpecError("max_weight must be > 0")
+        for name in ("num_users", "num_hosts", "mean_task_interarrival",
+                     "mean_task_size", "mean_task_deadline", "max_weight"):
+            if getattr(self, name) <= 0:
+                raise InvalidSpecError(f"{name}: must be > 0")
+        for name in ("duration", "income_rate", "initial_balance"):
+            if getattr(self, name) < 0:
+                raise InvalidSpecError(f"{name}: must be >= 0")
 
 
 @dataclass

@@ -1,7 +1,9 @@
 """Output tables, configuration documents, and the command line."""
 
+import dataclasses
 import json
 import re
+import typing
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from tycoon_sim import cli
 from tycoon_sim.config import (
     Experiment,
+    SweepConfig,
     apply_overrides,
     build_harness_config,
     build_host_config,
@@ -22,8 +25,11 @@ from tycoon_sim.config import (
 )
 from tycoon_sim.csvio import config_hash, emit_csv, format_field, read_csv
 from tycoon_sim.errors import ConfigError
-from tycoon_sim.hostsim import FundingMode, SchedulerKind
-from tycoon_sim.market import Behavior
+from tycoon_sim.harness.agents import ParentJob
+from tycoon_sim.harness.scenario import ScenarioConfig
+from tycoon_sim.hostsim import (FundingMode, HostSimConfig, SchedulerKind,
+                                WorkloadSpec)
+from tycoon_sim.market import Behavior, MarketConfig
 
 
 # -- csv emission -----------------------------------------------------------
@@ -161,6 +167,15 @@ def test_build_configs_apply_seed():
     assert build_harness_config({}, seed=9).rng_seed == 9
 
 
+def test_blocks_reject_rng_seed():
+    # The run's seed list always overwrites it, so a block's own seed
+    # would be accepted and then ignored.
+    for build in (build_host_config, build_market_config,
+                  build_harness_config):
+        with pytest.raises(ConfigError, match="rng_seed"):
+            build({"rng_seed": 7})
+
+
 def test_harness_block_coercions():
     cfg = build_harness_config({
         "parents": [{"total_credits": 2.0, "deadline_minutes": 1.0,
@@ -233,6 +248,10 @@ def test_resolved_config_is_stable_and_complete():
     spelled = resolved_config({"host": {"num_timeslices": 1000}},
                               Experiment.HOST, [42], 1)
     assert config_hash(spelled) == config_hash(resolved)
+    # An integer spelling of a float field is stored as that float.
+    integral = resolved_config({"harness": {"duration": 60}},
+                               Experiment.HOST, [42], 1)
+    assert config_hash(integral) == config_hash(resolved)
 
 
 # -- command line ---------------------------------------------------------------
@@ -247,6 +266,78 @@ def smoke_doc():
                                  "deadline_minutes": 1.0, "num_hosts": 1}]},
         "sweep": {"interarrivals": [60], "behaviors": ["obedient"]},
     }
+
+
+# (dotted field, document fragment) pairs that `validate` once crashed
+# on, or passed while `run` then failed or ran them as something else.
+BAD_DOCUMENTS = [
+    ("harness.kill_hosts[0][1]", {"harness": {"kill_hosts": [[1, "x"]]}}),
+    ("harness.kill_hosts[0]", {"harness": {"kill_hosts": [5]}}),
+    ("host.weights", {"host": {"weights": 5}}),
+    ("sweep.interarrivals[0]", {"sweep": {"interarrivals": ["a"]}}),
+    ("harness.parents[0].num_hosts",
+     {"harness": {"parents": [{"num_hosts": 0}]}}),
+    ("harness.parents[0].total_credits",
+     {"harness": {"parents": [{"total_credits": -4}]}}),
+    ("harness.message_latency", {"harness": {"message_latency": -1}}),
+    ("harness.drop_probability", {"harness": {"drop_probability": 2}}),
+    ("harness.sls_ttl", {"harness": {"sls_ttl": 0}}),
+    ("market.num_users", {"market": {"num_users": 2.5}}),
+    ("host.num_timeslices", {"host": {"num_timeslices": 1e3}}),
+    ("host.web.yields_cpu", {"host": {"web": {"yields_cpu": "no"}}}),
+    ("harness.audit_every_slice", {"harness": {"audit_every_slice": "yes"}}),
+    ("market.num_hosts", {"market": {"num_hosts": 1.5}}),
+    ("harness.host_speeds[0]", {"harness": {"host_speeds": [0, -1]}}),
+    ("harness.host_speeds", {"harness": {"host_speeds": [1, 1]}}),
+    ("harness.monitor_interval", {"harness": {"monitor_interval": 0}}),
+    ("harness.funding_chunk_minutes",
+     {"harness": {"funding_chunk_minutes": 0}}),
+    ("harness.duration", {"harness": {"duration": float("nan")}}),
+    ("market.income_rate",
+     {"market": {"behavior": "strategic_market", "income_rate": -1}}),
+]
+
+
+def wrong_typed_fields():
+    """One wrong-typed value for every field a document can set."""
+    schema = (
+        (HostSimConfig, "host", lambda kv: {"host": kv}),
+        (WorkloadSpec, "host.web", lambda kv: {"host": {"web": kv}}),
+        (MarketConfig, "market", lambda kv: {"market": kv}),
+        (ScenarioConfig, "harness", lambda kv: {"harness": kv}),
+        (ParentJob, "harness.parents[0]",
+         lambda kv: {"harness": {"parents": [kv]}}),
+        (SweepConfig, "sweep", lambda kv: {"sweep": kv}),
+    )
+    for cls, where, fragment in schema:
+        hints = typing.get_type_hints(cls)
+        for field in dataclasses.fields(cls):
+            if field.name == "rng_seed":
+                continue
+            # Enums, arrays and objects never take a bare integer.
+            wrong = {int: 2.5, float: True, bool: "no"}.get(
+                hints[field.name], 5)
+            yield f"{where}.{field.name}", fragment({field.name: wrong})
+
+
+BAD_FIELDS = BAD_DOCUMENTS + list(wrong_typed_fields())
+
+
+@pytest.mark.parametrize("field,fragment", BAD_FIELDS,
+                         ids=[field for field, _ in BAD_FIELDS])
+def test_bad_documents_exit_2_naming_the_field(tmp_path, capsys, field,
+                                                fragment):
+    # smoke_doc's short runs keep a wrongly accepted value cheap.
+    (block, values), = fragment.items()
+    doc = smoke_doc()
+    doc[block] = {**doc[block], **values}
+    conf = write_json(tmp_path, doc)
+    experiment = {"sweep": "figure1"}.get(block, block)
+    for argv in (["validate", "--config", conf],
+                 ["run", "--experiment", experiment, "--config", conf,
+                  "--seed", "1", "--out", str(tmp_path / "out")]):
+        assert cli.main(argv) == 2
+        assert field in capsys.readouterr().err
 
 
 def test_validate_command_exit_codes(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """End-to-end scenario: parents fund children that bid on real hosts.
 
 Every host wraps the auction scheduler; every credit movement goes
-through the bank, with a per-(host, child) escrow account settled to the
-provider as slices are charged.  Parents provision hosts through the
-locator, monitor progress per cost, and replace laggards or silent
-(dead) hosts.  The whole thing is driven by one slice-granularity clock
-and is deterministic per seed.
+through the bank, with a per-(host, child) escrow account.  Hosts meter
+what each child spends and, on the advertise tick, report the
+*cumulative* spend of every escrow to the bank, which moves only what it
+has not moved yet: a lost or repeated report costs nothing, and the next
+one delivered heals it.  Parents provision hosts through the locator,
+monitor progress per cost, and replace laggards or silent (dead) hosts.
+The whole thing is driven by one slice-granularity clock and is
+deterministic per seed.
 """
 
 import math
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, InsufficientBalanceError, UnknownAccountError
+from ..errors import ConfigError, InsufficientBalanceError
 from ..sched.auction import AuctionShareScheduler
 from ..sched.types import AgentAccount, PriceMode, SchedulerConfig
 from .agents import (ChildAgentState, ParentJob, parent_budget,
@@ -28,6 +31,11 @@ from .sls import ServiceLocator
 # than a member lookup.
 _TRANSFER = MessageKind.TRANSFER
 _FUND_AUCTIONEER = MessageKind.FUND_AUCTIONEER
+
+
+def _escrow_account(host_index: int, child_key: str) -> str:
+    """The bank account holding one child's funds at one host."""
+    return f"escrow:{host_index}:{child_key}"
 
 
 @dataclass
@@ -70,6 +78,11 @@ class ScenarioConfig:
                 job.validate()
             except ConfigError as exc:
                 raise ConfigError(f"parents[{i}].{exc}") from None
+            if job.num_hosts > self.num_hosts:
+                # The budget would be spread over hosts that do not exist.
+                raise ConfigError(
+                    f"parents[{i}].num_hosts: {job.num_hosts} is more than "
+                    f"the cluster's num_hosts {self.num_hosts}")
         for name in ("num_hosts", "duration", "timeslice_length",
                      "funding_chunk_minutes", "sls_ttl", "advertise_interval",
                      "monitor_interval", "funding_interval"):
@@ -87,7 +100,11 @@ class ScenarioConfig:
                 raise ConfigError(f"host_speeds[{i}]: must be > 0")
         if len(self.host_speeds) > self.num_hosts:
             raise ConfigError("host_speeds: more entries than num_hosts")
-        for _, host in self.kill_hosts:
+        for i, (when, host) in enumerate(self.kill_hosts):
+            if not when < self.duration:
+                raise ConfigError(
+                    f"kill_hosts[{i}][0]: time {when} is not before "
+                    f"duration {self.duration}, so the kill never fires")
             if not 0 <= host < self.num_hosts:
                 raise ConfigError(
                     f"kill_hosts index {host} outside 0..{self.num_hosts - 1}")
@@ -106,6 +123,13 @@ class ScenarioReport:
     final_total: int
     messages_sent: int
     messages_dropped: int
+    # Transfers the bank refused, and messages addressed to dead hosts.
+    rejected_transfers: int
+    undeliverable: int
+    # Metered spend no provider received: spend a dead host never
+    # reported, spend reported after its escrow closed, and spend whose
+    # last report was lost.
+    unsettled_micro: int
 
 
 @dataclass(slots=True)
@@ -115,13 +139,12 @@ class _Seat:
     agent: AgentAccount
     escrow: str               # bank account holding the child's funds
     progress: float = 0.0
-    spent: float = 0.0
-    settled_micro: int = 0    # spend already moved to the provider
+    spent: float = 0.0        # metered; the bank holds what it has moved
     activate_at: float = 0.0
 
 
 class _HostNode:
-    """One provider: an auction scheduler plus escrow settlement."""
+    """One provider: an auction scheduler plus metered escrow spend."""
 
     def __init__(self, sim, index: int):
         self.sim = sim
@@ -139,7 +162,8 @@ class _HostNode:
         self._by_agent: dict[int, _Seat] = {}
         # Seats not yet runnable, in the order they were opened.
         self._pending: list[_Seat] = []
-        self._tombstones: set[str] = set()
+        # Escrow of every child killed here -> its final metered spend.
+        self._killed: dict[str, int] = {}
         self._next_agent_id = 0
         self.slices_alive = 0
         self.slices_won = 0
@@ -155,7 +179,7 @@ class _HostNode:
                 requested_cpu_seconds=chunk / self.sim.config.timeslice_length)
             self._next_agent_id += 1
             self.sched.add_agent(agent, runnable=False)
-            seat = _Seat(agent, f"escrow:{self.index}:{child_key}")
+            seat = _Seat(agent, _escrow_account(self.index, child_key))
             self.children[child_key] = seat
             self._by_agent[agent.agent_id] = seat
             self._pending.append(seat)
@@ -166,20 +190,26 @@ class _HostNode:
         if kind is MessageKind.SPAWN_CHILD:
             self._ensure_child(p["child_key"]).activate_at = p["activate_at"]
         elif kind is _FUND_AUCTIONEER:
-            if p["child_key"] in self._tombstones:
+            if _escrow_account(self.index, p["child_key"]) in self._killed:
                 # Funding raced a kill; the credits stay parked in the
-                # escrow account where the sweep can still collect them.
+                # escrow account, where the close still collects them.
                 return
             seat = self._ensure_child(p["child_key"])
             self.sched.fund(seat.agent.agent_id,
                             micro_to_credits(p["amount"]))
         elif kind is MessageKind.KILL_CHILD:
-            self._tombstones.add(p["child_key"])
+            escrow = _escrow_account(self.index, p["child_key"])
+            self._killed[escrow] = 0
             seat = self.children.pop(p["child_key"], None)
             if seat is not None:
                 del self._by_agent[seat.agent.agent_id]
                 self._pending = [s for s in self._pending if s is not seat]
                 self.sched.set_runnable(seat.agent.agent_id, False)
+                self._killed[escrow] = math.floor(seat.spent * MICRO)
+            # The close goes out at once.  A dropped KILL_CHILD is not
+            # retried: the orphan bids until its lump is gone, and its
+            # spend is settled like any other.
+            self.settle()
         elif kind is MessageKind.QUERY_PROGRESS:
             self.sim.network.send(
                 self.sim.now, self.host_id, msg.sender,
@@ -216,16 +246,30 @@ class _HostNode:
         seat = self._by_agent[result.winner]
         seat.progress += self._work_per_slice
         seat.spent += result.payment
-        # Settle whole micro-credits of the spend into the provider
-        # account; the fractional tail stays in escrow.
-        due = int(math.floor(seat.spent * MICRO))
-        delta = due - seat.settled_micro
-        if delta > 0:
-            seat.settled_micro = due
+
+    def metered(self) -> dict[str, int]:
+        """Escrow -> whole micro-credits of spend metered so far.
+
+        The fractional tail of a spend stays in escrow.
+        """
+        totals = {seat.escrow: math.floor(seat.spent * MICRO)
+                  for seat in self.children.values()}
+        totals.update(self._killed)
+        return totals
+
+    def settle(self) -> None:
+        """Send the bank one report: every escrow's cumulative spend.
+
+        Killed children are repeated with their final spend and a close
+        request on every report, so the host is who retries a dropped
+        close; the bank applies the first close it gets and ignores the
+        rest.
+        """
+        if self.alive and (self.children or self._killed):
             self.sim.network.send(
-                now, self.host_id, "bank", _TRANSFER,
-                {"from": seat.escrow, "to": self.provider_account,
-                 "amount": delta})
+                self.sim.now, self.host_id, "bank", _TRANSFER,
+                {"to": self.provider_account, "cumulative": self.metered(),
+                 "close": list(self._killed)})
 
     def advertise(self) -> None:
         if self.alive:
@@ -357,15 +401,21 @@ class _ParentNode:
                 return
             new_host = free[int(self.sim.rng.integers(len(free)))]
         self.retired_progress += child.progress
+        # The host closes the escrow once it has stopped the child, in
+        # the same report as the child's final spend, so the close can
+        # never overtake the last settlement.
         self.sim.network.send(self.sim.now, self.parent_id, old_host,
                               MessageKind.KILL_CHILD,
                               {"child_key": child_key})
-        host_index = int(old_host.split(":")[1])
-        self.sim.network.send(self.sim.now, self.parent_id, "bank",
-                              MessageKind.TRANSFER,
-                              {"from": f"escrow:{host_index}:{child_key}",
-                               "to": self.account, "amount": None,
-                               "receipt_to": self.parent_id})
+        if reason == "timeout":
+            # A silent host is presumed dead and can close nothing, so
+            # the bank closes the escrow directly.  Spend the host metered
+            # but never reported goes back to this parent; if the host was
+            # alive after all, its late report finds the escrow closed and
+            # that spend stays unsettled.
+            escrow = _escrow_account(int(old_host.split(":")[1]), child_key)
+            self.sim.network.send(self.sim.now, self.parent_id, "bank",
+                                  MessageKind.TRANSFER, {"close": [escrow]})
         self.sim.replacements.append(
             (self.sim.now, self.parent_id, old_host, new_host, reason))
         self._spawn_child(new_host,
@@ -377,21 +427,34 @@ class _ParentNode:
         return self.retired_progress + live
 
 
+@dataclass(slots=True)
+class _Escrow:
+    """The bank's books on one escrow account."""
+
+    owner_account: str | None = None  # funded it; gets the remainder back
+    owner_id: str | None = None       # the parent told of that refund
+    moved: int = 0            # micro-credits already paid to the provider
+    closed: bool = False
+
+
 class _BankNode:
     """Executes transfers; the only component that touches the ledger."""
 
     def __init__(self, sim):
         self.sim = sim
+        self.escrows: dict[str, _Escrow] = {}
 
     def handle(self, msg) -> None:
         p = msg.payload
         ledger = self.sim.ledger
         kind = msg.kind
         if kind is _FUND_AUCTIONEER:
-            host_index = int(p["host"].split(":")[1])
-            escrow = f"escrow:{host_index}:{p['child_key']}"
+            escrow = _escrow_account(int(p["host"].split(":")[1]),
+                                     p["child_key"])
             if escrow not in ledger.accounts:
                 ledger.create_account(escrow)
+                self.escrows[escrow] = _Escrow(p["parent_account"],
+                                               msg.sender)
             try:
                 bank_transfer(ledger, p["parent_account"], escrow,
                               p["amount"])
@@ -403,20 +466,48 @@ class _BankNode:
                                   {"child_key": p["child_key"],
                                    "amount": p["amount"]})
         elif kind is _TRANSFER:
-            amount = p["amount"]
-            if amount is None:
-                amount = ledger.accounts.get(p["from"], 0)
-            try:
-                bank_transfer(ledger, p["from"], p["to"], amount)
-            except (InsufficientBalanceError, UnknownAccountError):
-                # An escrow whose funding was dropped never opened, so
-                # its reclaim has nothing to move.
-                self.sim.rejected_transfers += 1
-                return
-            if p.get("receipt_to") and amount:
-                self.sim.network.send(self.sim.now, "bank", p["receipt_to"],
-                                      MessageKind.TRANSFER,
-                                      {"amount": amount})
+            # Settlements first, so a host's close applies its final
+            # spend before the sweep.
+            for escrow, total in p.get("cumulative", {}).items():
+                self._settle(escrow, p["to"], total)
+            for escrow in p["close"]:
+                self._close(escrow)
+
+    def _settle(self, escrow: str, provider: str, total: int) -> None:
+        """Pay the provider up to `total`, the escrow's cumulative spend.
+
+        Only the part not moved yet moves: a duplicate or stale report
+        moves nothing, and one after a lost report moves the whole gap.
+        A report that finds the escrow closed comes too late to be paid.
+        """
+        books = self.escrows.get(escrow)
+        if books is None or books.closed or total <= books.moved:
+            return
+        try:
+            bank_transfer(self.sim.ledger, escrow, provider,
+                          total - books.moved)
+        except InsufficientBalanceError:
+            self.sim.rejected_transfers += 1
+            return
+        books.moved = total
+
+    def _close(self, escrow: str) -> None:
+        """Sweep what the escrow still holds back to its owner, once."""
+        books = self.escrows.setdefault(escrow, _Escrow())
+        if books.closed:
+            return
+        books.closed = True
+        if books.owner_account is None:
+            # Its funding was dropped, so the escrow never opened and
+            # there is nothing to sweep.
+            self.sim.rejected_transfers += 1
+            return
+        amount = self.sim.ledger.balance(escrow)
+        if amount:
+            bank_transfer(self.sim.ledger, escrow, books.owner_account,
+                          amount)
+            self.sim.network.send(self.sim.now, "bank", books.owner_id,
+                                  MessageKind.TRANSFER, {"amount": amount})
 
 
 class _SLSNode:
@@ -494,15 +585,22 @@ class HarnessSim:
             while self._pending_kills and self._pending_kills[0][0] <= self.now:
                 _, idx = self._pending_kills.pop(0)
                 self.hosts[idx].kill()
-            if self._every(k, cfg.advertise_interval):
+            advertise_tick = self._every(k, cfg.advertise_interval)
+            funding_tick = (cfg.policy_kind is PolicyKind.OPEN_LOOP
+                            and k > 0 and self._every(k, cfg.funding_interval))
+            # Hosts settle on the advertise tick, and in open loop also
+            # on the funding tick, so that no drain of the providers
+            # goes by without a settlement in between.
+            if advertise_tick or funding_tick:
                 for host in self.hosts:
-                    host.advertise()
+                    if advertise_tick:
+                        host.advertise()
+                    host.settle()
             if k == 0:
                 for parent in self.parents:
                     self.network.send(self.now, parent.parent_id, "sls",
                                       MessageKind.LOOKUP, {})
-            if cfg.policy_kind is PolicyKind.OPEN_LOOP and k > 0 \
-                    and self._every(k, cfg.funding_interval):
+            if funding_tick:
                 for h in self.hosts:
                     drained[h.provider_account] += \
                         self.ledger.balance(h.provider_account)
@@ -531,11 +629,18 @@ class HarnessSim:
                         f"ledger out of balance at t={self.now}: balances "
                         f"sum to {balances}, issued {self.ledger.total_issued}")
         self.now = total * dt
+        # Validation keeps every kill before the duration; one left here
+        # falls after the last slice and still happens.
+        for _, idx in self._pending_kills:
+            self.hosts[idx].kill()
         self.network.pump(self.now)
-        # Close the books on fresh numbers: one last progress round.
+        # Close the books on fresh numbers: one last progress and
+        # settlement round.
         for parent in self.parents:
             parent.monitor_query()
             parent._decide_pending = False
+        for host in self.hosts:
+            host.settle()
         self.network.pump(self.now + self.config.message_latency * 2)
         return self._report(drained)
 
@@ -551,7 +656,11 @@ class HarnessSim:
                     self.ledger.balance(parent.account)),
             }
         per_host = {}
+        unsettled = 0
         for host in self.hosts:
+            for escrow, total in host.metered().items():
+                books = self.bank.escrows.get(escrow)
+                unsettled += total - (books.moved if books else 0)
             revenue = self.ledger.balance(host.provider_account) \
                 + drained[host.provider_account]
             per_host[host.host_id] = {
@@ -576,6 +685,9 @@ class HarnessSim:
             final_total=self.ledger.total_balance(),
             messages_sent=self.network.sent,
             messages_dropped=self.network.dropped,
+            rejected_transfers=self.rejected_transfers,
+            undeliverable=self.network.undeliverable,
+            unsettled_micro=unsettled,
         )
 
 

@@ -66,16 +66,16 @@ def market_budget_weight(balance, value, num_hosts: int, deadline, now: float):
     """Per-host weight a budgeted user puts on its best task.
 
     Spreads the balance share earmarked for this task over the hosts and
-    the time left before the deadline.  Capped at balance/num_hosts so a
-    single time unit can never spend more than the full balance.  Takes
-    scalars, or one array element per user.
+    the time left before the deadline.  A live task has at least one
+    time unit left and a value of at most 1, so one time unit never
+    spends more than the full balance.  Takes scalars, or one array
+    element per user.
     """
     if np.less_equal(deadline, now).any():
         raise ExpiredTaskError("deadline passed, task abandoned")
     if num_hosts < 1:
         raise InvalidSpecError("num_hosts must be >= 1")
-    weight = balance * value / (num_hosts * (deadline - now))
-    return np.minimum(weight, balance / num_hosts)
+    return balance * value / (num_hosts * (deadline - now))
 
 
 def allocate_host_step(weights, remaining, capacity: float = 1.0):

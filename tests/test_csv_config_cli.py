@@ -295,6 +295,11 @@ BAD_DOCUMENTS = [
     ("harness.duration", {"harness": {"duration": float("nan")}}),
     ("market.income_rate",
      {"market": {"behavior": "strategic_market", "income_rate": -1}}),
+    ("harness.kill_hosts[0][0]",
+     {"harness": {"num_hosts": 3, "duration": 5.0,
+                  "kill_hosts": [[100.0, 1]]}}),
+    ("harness.parents[0].num_hosts",
+     {"harness": {"num_hosts": 1, "parents": [{"num_hosts": 2}]}}),
 ]
 
 

@@ -1,5 +1,6 @@
 """End-to-end harness scenarios: conservation, replacement, resilience."""
 
+import dataclasses
 import math
 
 import pytest
@@ -62,6 +63,48 @@ def test_spend_equals_revenue_and_escrow_closes_the_books():
     funded = credits_to_micro(stats["funded_credits"])
     reclaimed = credits_to_micro(stats["reclaimed_credits"])
     assert funded - reclaimed == revenue_micro + escrow_micro
+    assert report.ledger_ok
+
+
+def test_lossy_settlement_still_pays_the_provider_exactly():
+    # The twin of the test above on a network that loses one message in
+    # five.  Each settlement report carries the cumulative spend, so the
+    # next report heals a lost one, and once the last one is delivered
+    # the provider holds exactly the metered spend.
+    cfg = scenario(num_hosts=1, duration=30.0,
+                   parents=(job(total_credits=2.0, deadline_minutes=1.0,
+                                num_hosts=1),),
+                   message_latency=0.02, drop_probability=0.2)
+    sim = HarnessSim(cfg)
+    report = sim.run()
+    (seat,) = sim.hosts[0].children.values()
+    assert report.messages_dropped > 0
+    revenue_micro = sim.ledger.balance("provider:0")
+    assert revenue_micro == math.floor(seat.spent * MICRO)
+    assert sim.ledger.balance(seat.escrow) \
+        + revenue_micro + sim.ledger.balance("user:0") \
+        == credits_to_micro(2.0)
+    assert report.ledger_ok
+
+
+def test_spend_a_killed_host_never_reported_goes_back_to_the_parent():
+    # The host dies between two settlement ticks.  The spend it metered
+    # since its last report reaches no provider: the parent's timeout
+    # closes the escrow at the bank, which sweeps it back to the parent
+    # with the rest of the lump, and the report counts it as unsettled.
+    cfg = scenario(num_hosts=2, duration=30.0, parents=(job(num_hosts=1),),
+                   report_timeout=6.0)
+    busy = run_harness_scenario(cfg).per_host
+    victim = next(i for i in range(2) if busy[f"host:{i}"]["slices_run"])
+    sim = HarnessSim(dataclasses.replace(cfg, kill_hosts=((11.0, victim),)))
+    report = sim.run()
+    (escrow, metered), = sim.hosts[victim].metered().items()
+    moved = sim.bank.escrows[escrow].moved
+    assert 0 < moved < metered
+    assert sim.ledger.balance(f"provider:{victim}") == moved
+    assert sim.ledger.balance(escrow) == 0
+    assert report.unsettled_micro == metered - moved
+    assert report.per_parent["parent:0"]["reclaimed_credits"] > 0
     assert report.ledger_ok
 
 
@@ -177,8 +220,7 @@ def test_reclaim_from_an_unopened_escrow_is_a_rejected_transfer():
     # account that the replacement's reclaim TRANSFER sweeps.
     sim = HarnessSim(scenario())
     sim.network.send(0.0, "parent:0", "bank", MessageKind.TRANSFER,
-                     {"from": "escrow:0:parent:0/c0", "to": "user:0",
-                      "amount": None, "receipt_to": "parent:0"})
+                     {"close": ["escrow:0:parent:0/c0"]})
     sim.network.pump(0.0)
     assert sim.rejected_transfers == 1
     assert sim.parents[0].reclaimed_micro == 0
@@ -192,9 +234,10 @@ def small_scenarios(draw):
     parents = tuple(
         ParentJob(total_credits=draw(st.floats(0.05, 6.0)),
                   deadline_minutes=draw(st.sampled_from([0.25, 1.0, 2.0])),
-                  num_hosts=draw(st.integers(1, 3)))
+                  num_hosts=draw(st.integers(1, num_hosts)))
         for _ in range(draw(st.integers(1, 3))))
-    kills = draw(st.lists(st.tuples(st.floats(0.0, duration),
+    kills = draw(st.lists(st.tuples(st.floats(0.0, duration,
+                                              exclude_max=True),
                                     st.integers(0, num_hosts - 1)),
                           max_size=2))
     return ScenarioConfig(
@@ -203,8 +246,9 @@ def small_scenarios(draw):
         drop_probability=draw(st.floats(0.0, 0.3)),
         message_latency=draw(st.floats(0.0, 0.02)),
         kill_hosts=tuple(kills),
-        # Short intervals, so that monitoring, replacement and open-loop
-        # payments happen inside a few seconds.
+        # Short intervals, so that monitoring, replacement, settlement and
+        # open-loop payments happen inside a few seconds.
+        advertise_interval=draw(st.sampled_from([0.3, 2.0])),
         monitor_interval=draw(st.sampled_from([0.5, 1.0, 5.0])),
         report_timeout=draw(st.sampled_from([0.7, 2.0, 12.0])),
         migration_overhead=draw(st.sampled_from([0.0, 0.5])),
@@ -214,15 +258,52 @@ def small_scenarios(draw):
         rng_seed=draw(st.integers(0, 2**16)))
 
 
+def run_noting_settlements(cfg):
+    """Run a scenario; also return, per escrow, the last cumulative spend
+    the bank was told before the escrow closed."""
+    sim = HarnessSim(cfg)
+    told, closed = {}, set()
+    handle = sim.bank.handle
+
+    def spy(msg):
+        if msg.kind is MessageKind.TRANSFER:
+            for escrow, total in msg.payload.get("cumulative", {}).items():
+                if escrow not in closed:
+                    told[escrow] = total
+            closed.update(msg.payload["close"])
+        handle(msg)
+
+    sim.network.register("bank", spy)
+    return sim, sim.run(), told
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_scenarios())
 def test_random_small_scenarios_keep_the_books(cfg):
     # audit_every_slice raises as soon as any slice leaves the ledger
     # out of balance.
-    report = run_harness_scenario(cfg)
+    sim, report, told = run_noting_settlements(cfg)
     assert report.ledger_ok
     assert report.no_negative_balances
     assert report.total_issued == report.final_total
+    for _, host in cfg.kill_hosts:
+        assert not report.per_host[f"host:{host}"]["alive"]
+    # Once an escrow's final spend reaches the bank, its provider holds
+    # exactly the metered spend; every other gap is reported unsettled.
+    unsettled = 0
+    for host in sim.hosts:
+        receipts = 0
+        for escrow, metered in host.metered().items():
+            books = sim.bank.escrows.get(escrow)
+            moved = books.moved if books else 0
+            assert 0 <= moved <= metered
+            if told.get(escrow, 0) == metered:
+                assert moved == metered
+            receipts += moved
+            unsettled += metered - moved
+        revenue = report.per_host[host.host_id]["revenue_credits"]
+        assert credits_to_micro(revenue) == receipts
+    assert report.unsettled_micro == unsettled
 
 
 def test_config_rejects_nonsense():

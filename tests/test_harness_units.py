@@ -333,7 +333,8 @@ def test_unregistered_recipient_is_counted_not_raised():
 def one_host():
     """A one-host harness whose host is driven by hand, plus a log of the
     agent ids its scheduler pushes onto the bid heap."""
-    sim = HarnessSim(ScenarioConfig(num_hosts=1, duration=1.0))
+    sim = HarnessSim(ScenarioConfig(num_hosts=1, duration=1.0,
+                                    parents=(ParentJob(num_hosts=1),)))
     host = sim.hosts[0]
     pushed = []
     push = host.sched.heap.push
@@ -383,3 +384,64 @@ def test_seats_due_in_one_slice_enter_the_heap_in_open_order():
     host.run_slice()
     assert pushed == ids
     assert all(agent_id in host.sched.heap for agent_id in ids)
+
+
+# -- cumulative settlement at the bank --------------------------------------
+
+
+ESCROW = "escrow:0:parent:0/c0"
+
+
+def bank_with_escrow(lump):
+    """A harness whose bank has opened ESCROW with one lump from user:0."""
+    sim = HarnessSim(ScenarioConfig(num_hosts=1, duration=1.0,
+                                    parents=(ParentJob(num_hosts=1),)))
+    sim.bank.handle(Message(
+        delivery_time=0.0, sender="parent:0", seq=0, recipient="bank",
+        kind=MessageKind.FUND_AUCTIONEER,
+        payload={"parent_account": "user:0", "host": "host:0",
+                 "child_key": "parent:0/c0", "amount": lump}))
+    return sim
+
+
+def report(total, close=()):
+    return Message(delivery_time=0.0, sender="host:0", seq=0,
+                   recipient="bank", kind=MessageKind.TRANSFER,
+                   payload={"to": "provider:0", "cumulative": {ESCROW: total},
+                            "close": list(close)})
+
+
+def test_duplicate_and_stale_reports_move_nothing():
+    sim = bank_with_escrow(MICRO)
+    sim.bank.handle(report(300))
+    sim.bank.handle(report(300))
+    sim.bank.handle(report(120))
+    assert sim.ledger.balance("provider:0") == 300
+    assert sim.ledger.balance(ESCROW) == MICRO - 300
+    assert sim.rejected_transfers == 0
+
+
+def test_report_after_a_lost_one_moves_the_whole_gap():
+    sim = bank_with_escrow(MICRO)
+    sim.bank.handle(report(300))
+    # report(450) was lost on the way.
+    sim.bank.handle(report(700))
+    assert sim.ledger.balance("provider:0") == 700
+    assert sim.bank.escrows[ESCROW].moved == 700
+
+
+def test_close_settles_the_final_spend_before_the_sweep():
+    sim = bank_with_escrow(MICRO)
+    user = sim.ledger.balance("user:0")
+    sim.bank.handle(report(300))
+    sim.bank.handle(report(700, close=[ESCROW]))
+    assert sim.ledger.balance("provider:0") == 700
+    assert sim.ledger.balance(ESCROW) == 0
+    assert sim.ledger.balance("user:0") == user + MICRO - 700
+    # The host repeats its close until one gets through; repeats, and
+    # reports that reach the closed escrow, move nothing.
+    sim.bank.handle(report(700, close=[ESCROW]))
+    sim.bank.handle(report(900))
+    assert sim.ledger.balance("provider:0") == 700
+    sim.network.pump(1.0)
+    assert sim.parents[0].reclaimed_micro == MICRO - 700

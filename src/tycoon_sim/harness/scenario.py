@@ -7,7 +7,15 @@ what each child spends and, on the advertise tick, report the
 has not moved yet: a lost or repeated report costs nothing, and the next
 one delivered heals it.  Parents provision hosts through the locator,
 monitor progress per cost, and replace laggards or silent (dead) hosts.
-The whole thing is driven by one slice-granularity clock and is
+
+The run steps from event slice to event slice: an advertise, monitor or
+funding tick, the first queued delivery, a host kill, or the decision
+after a progress query.  Between two events every host runs its slices
+in one call.  This is conservative synchronisation with lookahead
+(Chandy & Misra, 1979), exact here because a host sends nothing while it
+runs slices and every effect between components goes through the
+network queue, which only event slices pump.  Sends and drop coins thus
+come in the order that stepping each slice gives, and a run is
 deterministic per seed.
 """
 
@@ -31,6 +39,22 @@ from .sls import ServiceLocator
 # than a member lookup.
 _TRANSFER = MessageKind.TRANSFER
 _FUND_AUCTIONEER = MessageKind.FUND_AUCTIONEER
+
+
+def _first_slice_at(t: float, dt: float, limit: int) -> int:
+    """The first slice ``j`` with ``j * dt >= t``, or ``limit`` if none
+    comes before it: the slice on which ``now = j * dt`` first passes the
+    float test that pumps a message, kills a host or activates a seat.
+    The steps correct ``ceil`` where ``t / dt`` rounds across an integer.
+    """
+    if not t <= (limit - 1) * dt:
+        return limit
+    j = max(0, math.ceil(t / dt))
+    while j > 0 and (j - 1) * dt >= t:
+        j -= 1
+    while j * dt < t:
+        j += 1
+    return j
 
 
 def _escrow_account(host_index: int, child_key: str) -> str:
@@ -225,27 +249,44 @@ class _HostNode:
         return {"progress": seat.progress, "spent": seat.spent,
                 "funds": seat.agent.balance, "known": True}
 
-    def run_slice(self) -> None:
+    def run_slices(self, k0: int, k1: int) -> None:
+        """Run slices ``k0 .. k1 - 1``, which hold no event.
+
+        A seat falling due splits the window: due seats enter the heap
+        before their slice's round, in the order they were opened.
+        """
         if not self.alive:
             return
-        now = self.sim.now
-        if self._pending:
-            waiting = []
-            for seat in self._pending:
-                if now >= seat.activate_at:
-                    self.sched.set_runnable(seat.agent.agent_id, True)
-                else:
-                    waiting.append(seat)
-            self._pending = waiting
-        self.slices_alive += 1
-        result = self.sched.run_slice()
-        if result.winner is None:
-            return
-        self.slices_won += 1
-        # Only seated, activated agents are runnable, so the winner has a seat.
-        seat = self._by_agent[result.winner]
-        seat.progress += self._work_per_slice
-        seat.spent += result.payment
+        dt = self.sim.config.timeslice_length
+        sched, by_agent = self.sched, self._by_agent
+        work = self._work_per_slice
+        while k0 < k1:
+            end = k1
+            if self._pending:
+                waiting = []
+                for seat in self._pending:
+                    if k0 * dt >= seat.activate_at:
+                        sched.set_runnable(seat.agent.agent_id, True)
+                    else:
+                        waiting.append(seat)
+                        end = _first_slice_at(seat.activate_at, dt, end)
+                self._pending = waiting
+            self.slices_alive += end - k0
+            # With nobody bidding no round is held, so the scheduler's
+            # slice_index counts only the rounds held; the harness never
+            # reads it.
+            if sched.heap or sched.reservations:
+                run_slice = sched.run_slice
+                for _ in range(end - k0):
+                    result = run_slice()
+                    if result.winner is not None:
+                        self.slices_won += 1
+                        # Only seated, activated agents are runnable, so
+                        # the winner has a seat.
+                        seat = by_agent[result.winner]
+                        seat.progress += work
+                        seat.spent += result.payment
+            k0 = end
 
     def metered(self) -> dict[str, int]:
         """Escrow -> whole micro-credits of spend metered so far.
@@ -571,23 +612,24 @@ class HarnessSim:
             self.policy = FundingPolicy(kind=PolicyKind.CLOSED_LOOP)
         self._pending_kills = sorted(config.kill_hosts)
 
-    def _every(self, k: int, interval: float) -> bool:
-        step = max(1, round(interval / self.config.timeslice_length))
-        return k % step == 0
-
     def run(self) -> ScenarioReport:
         cfg = self.config
         dt = cfg.timeslice_length
         total = int(round(cfg.duration / dt))
         drained = {h.provider_account: 0 for h in self.hosts}
-        for k in range(total):
+        open_loop = cfg.policy_kind is PolicyKind.OPEN_LOOP
+        advertise_every, monitor_every, funding_every = (
+            max(1, round(interval / dt)) for interval in (
+                cfg.advertise_interval, cfg.monitor_interval,
+                cfg.funding_interval))
+        k = 0
+        while k < total:
             self.now = k * dt
             while self._pending_kills and self._pending_kills[0][0] <= self.now:
                 _, idx = self._pending_kills.pop(0)
                 self.hosts[idx].kill()
-            advertise_tick = self._every(k, cfg.advertise_interval)
-            funding_tick = (cfg.policy_kind is PolicyKind.OPEN_LOOP
-                            and k > 0 and self._every(k, cfg.funding_interval))
+            advertise_tick = k % advertise_every == 0
+            funding_tick = open_loop and k > 0 and k % funding_every == 0
             # Hosts settle on the advertise tick, and in open loop also
             # on the funding tick, so that no drain of the providers
             # goes by without a settlement in between.
@@ -616,18 +658,25 @@ class HarnessSim:
             self.network.pump(self.now)
             for parent in self.parents:
                 parent.monitor_decide()
-            if k > 0 and self._every(k, cfg.monitor_interval):
+            queried = k > 0 and k % monitor_every == 0
+            if queried:
                 for parent in self.parents:
                     parent.monitor_query()
                 self.network.pump(self.now)
+            following = self._next_event(k, total, queried, (
+                advertise_every, monitor_every,
+                funding_every if open_loop else total))
             for host in self.hosts:
-                host.run_slice()
+                host.run_slices(k, following)
+            # Only event slices move credits, so the ledger holds still
+            # inside a window: one check stands for one per slice.
             if cfg.audit_every_slice:
                 balances = self.ledger.total_balance()
                 if balances != self.ledger.total_issued:
                     raise RuntimeError(
                         f"ledger out of balance at t={self.now}: balances "
                         f"sum to {balances}, issued {self.ledger.total_issued}")
+            k = following
         self.now = total * dt
         # Validation keeps every kill before the duration; one left here
         # falls after the last slice and still happens.
@@ -643,6 +692,26 @@ class HarnessSim:
             host.settle()
         self.network.pump(self.now + self.config.message_latency * 2)
         return self._report(drained)
+
+    def _next_event(self, k: int, total: int, queried: bool,
+                    periods: tuple[int, ...]) -> int:
+        """The first slice after ``k`` on which something can happen
+        besides auction rounds, or ``total``."""
+        if queried:
+            # The parents decide on the next slice.
+            return k + 1
+        dt = self.config.timeslice_length
+        following = min(total, *((k // every + 1) * every
+                                 for every in periods))
+        # A message sent after this slice's pump is due on the next one
+        # at the earliest.
+        head = self.network.next_delivery()
+        if head is not None:
+            following = max(k + 1, _first_slice_at(head, dt, following))
+        if self._pending_kills:
+            following = _first_slice_at(self._pending_kills[0][0], dt,
+                                        following)
+        return following
 
     def _report(self, drained: dict) -> ScenarioReport:
         per_parent = {}

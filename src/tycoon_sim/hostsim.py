@@ -110,6 +110,11 @@ class HostSimConfig:
             raise ConfigError("web.request_probability: must be in [0, 1]")
         if self.web.service_demand <= 0:
             raise ConfigError("web.service_demand: must be > 0")
+        if self.web.service_demand > self.timeslice_length:
+            # One request is served per slice, so it must fit in one.
+            raise ConfigError(
+                f"web.service_demand: {self.web.service_demand} exceeds "
+                f"timeslice_length {self.timeslice_length}")
         if not 0.0 < self.web_intended_share < 1.0:
             raise ConfigError("web_intended_share: must be in (0, 1)")
         if self.initial_funding_intervals < 0:

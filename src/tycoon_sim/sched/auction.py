@@ -47,32 +47,6 @@ def pending_reservation(reservations: Sequence[Reservation]) -> Reservation | No
     return min(behind, key=lambda r: r.accepted_at)
 
 
-def charge(
-    account: AgentAccount,
-    elapsed: float,
-    config: SchedulerConfig,
-    second_bid: float | None = None,
-) -> float:
-    """Charge the slice winner and return the payment.
-
-    The rate is the winner's own bid under FIRST_PRICE and ``second_bid``
-    (0 when absent) under SECOND_PRICE.  Payment is prorated by
-    ``elapsed / timeslice_length`` and capped at the balance, so accounts
-    never go negative.
-    """
-    if not 0 < elapsed <= config.timeslice_length:
-        raise InvalidElapsedError(
-            f"elapsed {elapsed} outside (0, {config.timeslice_length}]"
-        )
-    if config.price_mode is _SECOND_PRICE:
-        rate = second_bid if second_bid is not None else 0.0
-    else:
-        rate = compute_bid(account)
-    payment = min((elapsed / config.timeslice_length) * rate, account.balance)
-    account.balance -= payment
-    return payment
-
-
 def fund(account: AgentAccount, amount: float) -> None:
     """Deposit credits into the account."""
     if amount < 0:
@@ -148,6 +122,11 @@ class AuctionShareScheduler:
     The ready queue is the bid heap; agents enter when runnable and leave
     when they yield.  ``run_slice`` performs one auction round, charges
     the winner, and advances reservation bookkeeping.
+
+    The winner pays at a rate of its own bid under FIRST_PRICE and of the
+    runner-up's bid (0 when it bids alone) under SECOND_PRICE, prorated
+    by ``elapsed / timeslice_length`` and capped at its balance, so
+    accounts never go negative.
     """
 
     def __init__(self, config: SchedulerConfig | None = None):
@@ -210,8 +189,9 @@ class AuctionShareScheduler:
 
     def run_slice(self, elapsed: float | None = None) -> SliceResult:
         config = self.config
+        length = config.timeslice_length
         if elapsed is None:
-            elapsed = config.timeslice_length
+            elapsed = length
         heap = self.heap
         top = heap.peek()
         reservations = self.reservations
@@ -228,13 +208,26 @@ class AuctionShareScheduler:
             self.price_stats.observe(clearing)
         elif top is not None:
             winner_id = top[0]
+            # Called in either price mode, so the heap's operation count
+            # does not depend on it.
             runner_up = heap.second()
-            second_bid = runner_up[1] if runner_up is not None else 0.0
+            if not 0 < elapsed <= length:
+                raise InvalidElapsedError(
+                    f"elapsed {elapsed} outside (0, {length}]")
             account = self.accounts[winner_id]
-            payment = charge(account, elapsed, config, second_bid)
+            if config.price_mode is _SECOND_PRICE:
+                rate = runner_up[1] if runner_up is not None else 0.0
+            else:
+                rate = compute_bid(account)
+            fraction = elapsed / length
+            balance = account.balance
+            payment = fraction * rate
+            if balance < payment:
+                payment = balance
+            account.balance = balance - payment
             self.revenue += payment
             heap.update(winner_id, compute_bid(account))
-            clearing = payment / (elapsed / config.timeslice_length)
+            clearing = payment / fraction
             result = SliceResult(self.slice_index, winner_id, payment, clearing)
             self.price_stats.observe(clearing)
         else:

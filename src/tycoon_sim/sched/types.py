@@ -69,6 +69,11 @@ class Reservation:
         return self.active() and self.slices_won < target
 
 
+# Clearing prices wait in a buffer of this many before they are folded
+# into a PriceStats window; a read folds what is waiting at once.
+PRICE_BUFFER = 128
+
+
 class PriceStats:
     """Sliding window of recent clearing prices.
 
@@ -77,6 +82,11 @@ class PriceStats:
     The sums are of each price minus the first one observed: raw sums of
     squares near 1e6 cancel to a few digits in sumsq - sum**2 / n, while
     the shifted ones stay the size of the spread.
+
+    Most windows are written on every slice and seldom read, so prices
+    are buffered and folded in one at a time, in the order observed.
+    The fold does what observing each price directly would, so every
+    read is bit for bit the same.
     """
 
     def __init__(self, window_size: int = 1000):
@@ -87,32 +97,46 @@ class PriceStats:
         self._window: deque[float] = deque()  # price - self._shift
         self._sum = 0.0
         self._sumsq = 0.0
+        self._unfolded: list[float] = []
 
     def __len__(self) -> int:
+        self._fold()
         return len(self._window)
 
     def observe(self, price: float) -> None:
         """Append a clearing price, evicting the oldest beyond the window."""
-        window = self._window
-        if len(window) == self.window_size:
-            old = window.popleft()
-            self._sum -= old
-            self._sumsq -= old * old
-        elif not window:
-            self._shift = price
-        delta = price - self._shift
-        window.append(delta)
-        self._sum += delta
-        self._sumsq += delta * delta
+        unfolded = self._unfolded
+        unfolded.append(price)
+        if len(unfolded) == PRICE_BUFFER:
+            self._fold()
+
+    def _fold(self) -> None:
+        window, size = self._window, self.window_size
+        shift, total, sumsq = self._shift, self._sum, self._sumsq
+        for price in self._unfolded:
+            if len(window) == size:
+                old = window.popleft()
+                total -= old
+                sumsq -= old * old
+            elif not window:
+                shift = price
+            delta = price - shift
+            window.append(delta)
+            total += delta
+            sumsq += delta * delta
+        self._shift, self._sum, self._sumsq = shift, total, sumsq
+        self._unfolded.clear()
 
     @property
     def mean(self) -> float:
+        self._fold()
         if not self._window:
             return 0.0
         return self._shift + self._sum / len(self._window)
 
     @property
     def stddev(self) -> float:
+        self._fold()
         n = len(self._window)
         if n < 2:
             return 0.0

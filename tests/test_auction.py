@@ -1,11 +1,14 @@
 """Auction clearing, charging, price statistics, and reservations."""
 
+import collections
 import math
 import statistics
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tycoon_sim.errors import (
     CapacityRejection,
@@ -17,13 +20,13 @@ from tycoon_sim.errors import (
 )
 from tycoon_sim.sched.auction import (
     AuctionShareScheduler,
-    charge,
     compute_bid,
     fund,
     reservation_accept,
     reservation_quote,
 )
 from tycoon_sim.sched.types import (
+    PRICE_BUFFER,
     AgentAccount,
     PriceMode,
     PriceStats,
@@ -105,44 +108,67 @@ def test_reservation_preempts_spot_market():
 # -- charging ------------------------------------------------------------
 
 
+def one_round(config, accounts, elapsed=None):
+    """The result of one round on a fresh scheduler holding ``accounts``."""
+    sched = AuctionShareScheduler(config)
+    for acct in accounts:
+        sched.add_agent(acct)
+    return sched.run_slice(elapsed)
+
+
 def test_full_slice_first_price_charges_own_bid():
     acct = account(0, 100.0, 10.0)
-    payment = charge(acct, 0.010, FIRST)
-    assert payment == 10.0
+    result = one_round(FIRST, [acct])
+    assert (result.winner, result.payment) == (0, 10.0)
     assert acct.balance == 90.0
 
 
 def test_half_slice_prorates_payment():
     acct = account(0, 100.0, 10.0)
-    payment = charge(acct, 0.005, FIRST)
-    assert payment == 5.0
+    result = one_round(FIRST, [acct], elapsed=0.005)
+    assert result.payment == 5.0
+    assert result.clearing_price == 10.0
     assert acct.balance == 95.0
 
 
 def test_second_price_charges_runner_up_bid():
-    acct = account(0, 100.0, 10.0)
-    payment = charge(acct, 0.010, SECOND, second_bid=4.0)
-    assert payment == 4.0
+    acct, runner_up = account(0, 100.0, 10.0), account(1, 40.0, 10.0)
+    result = one_round(SECOND, [acct, runner_up])
+    assert (result.winner, result.payment) == (0, 4.0)
     assert acct.balance == 96.0
+    assert runner_up.balance == 40.0
 
 
 def test_lone_bidder_pays_nothing_under_second_price():
     acct = account(0, 100.0, 10.0)
-    assert charge(acct, 0.010, SECOND, second_bid=None) == 0.0
+    result = one_round(SECOND, [acct])
+    assert (result.winner, result.payment) == (0, 0.0)
     assert acct.balance == 100.0
 
 
 def test_payment_capped_at_balance():
     acct = account(0, 2.0, 0.1)  # bid 20/slice, holds 2
-    payment = charge(acct, 0.010, FIRST)
-    assert payment == 2.0
+    result = one_round(FIRST, [acct])
+    assert result.payment == 2.0
     assert acct.balance == 0.0
 
 
 def test_elapsed_must_lie_within_slice():
     for elapsed in (0.0, -0.001, 0.011):
+        acct = account(0, 1.0)
         with pytest.raises(InvalidElapsedError):
-            charge(account(0, 1.0), elapsed, FIRST)
+            one_round(FIRST, [acct], elapsed)
+        assert acct.balance == 1.0
+
+
+def test_round_rejects_a_winner_without_request():
+    for config in (FIRST, SECOND):
+        sched = AuctionShareScheduler(config)
+        acct = account(0, 1.0)
+        sched.add_agent(acct)
+        acct.requested_cpu_seconds = 0.0
+        with pytest.raises(InvalidAccountError):
+            sched.run_slice()
 
 
 def test_fund_rejects_negative():
@@ -183,6 +209,63 @@ def test_price_stats_stay_exact_far_from_zero():
                                            rel=1e-12)
         assert stats.stddev == pytest.approx(statistics.stdev(window),
                                              rel=1e-9)
+
+
+class EagerPriceStats:
+    """PriceStats folding each price in as it is observed."""
+
+    def __init__(self, window_size):
+        self.window_size = window_size
+        self.shift = 0.0
+        self.window = collections.deque()
+        self.sum = 0.0
+        self.sumsq = 0.0
+
+    def observe(self, price):
+        window = self.window
+        if len(window) == self.window_size:
+            old = window.popleft()
+            self.sum -= old
+            self.sumsq -= old * old
+        elif not window:
+            self.shift = price
+        delta = price - self.shift
+        window.append(delta)
+        self.sum += delta
+        self.sumsq += delta * delta
+
+    def read(self):
+        n = len(self.window)
+        mean = self.shift + self.sum / n if n else 0.0
+        if n < 2:
+            return n, mean, 0.0
+        var = (self.sumsq - self.sum * self.sum / n) / (n - 1)
+        return n, mean, math.sqrt(max(var, 0.0))
+
+
+@st.composite
+def price_streams(draw):
+    """Prices around one level, near zero or far from it, with reads
+    (None) at random points; long enough to fold the buffer more than
+    once."""
+    level = draw(st.sampled_from([0.0, 1e-3, 5.0, 1e6, -2e8]))
+    spread = draw(st.sampled_from([1e-6, 0.3, 50.0]))
+    prices = st.floats(-1.0, 1.0).map(lambda u: level + u * spread)
+    return draw(st.lists(st.one_of(prices, prices, prices, st.none()),
+                         min_size=PRICE_BUFFER // 2,
+                         max_size=3 * PRICE_BUFFER))
+
+
+@settings(max_examples=150, deadline=None)
+@given(price_streams(), st.integers(1, 50))
+def test_buffered_price_stats_read_as_if_folded_at_once(stream, window):
+    lazy, eager = PriceStats(window_size=window), EagerPriceStats(window)
+    for price in stream + [None]:
+        if price is None:
+            assert (len(lazy), lazy.mean, lazy.stddev) == eager.read()
+        else:
+            lazy.observe(price)
+            eager.observe(price)
 
 
 def test_price_stats_small_windows():

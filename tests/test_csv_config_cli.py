@@ -300,6 +300,8 @@ BAD_DOCUMENTS = [
                   "kill_hosts": [[100.0, 1]]}}),
     ("harness.parents[0].num_hosts",
      {"harness": {"num_hosts": 1, "parents": [{"num_hosts": 2}]}}),
+    ("host.web.service_demand", {"host": {"timeslice_length": 1e-300}}),
+    ("host.web.service_demand", {"host": {"web": {"service_demand": 0.02}}}),
 ]
 
 

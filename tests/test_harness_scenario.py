@@ -314,3 +314,86 @@ def test_config_rejects_nonsense():
     with pytest.raises(ConfigError):
         ScenarioConfig(refresh_fraction=1.5).validate()
     ScenarioConfig().validate()
+
+
+# Values a run of each config produced when the harness still stepped
+# one slice at a time; stepping from event to event must reproduce them
+# exactly.  Per config: each parent's (work_done, funded, reclaimed),
+# each host's (revenue, utilization, slices_run), the replacements,
+# (messages_sent, messages_dropped) and unsettled_micro.
+PINNED_HARNESS = {
+    "lossy": (
+        dict(num_hosts=8, duration=25.0, rng_seed=3,
+             parents=tuple(ParentJob(num_hosts=3) for _ in range(5)),
+             drop_probability=0.05, message_latency=0.02,
+             host_speeds=(1.0, 0.3, 1.0, 0.3), report_timeout=6.0,
+             kill_hosts=((8.0, 2), (12.0, 4))),
+        [(16.66999999999982, 0.833335, 0.136811),
+         (16.846999999999806, 1.000002, 0.25638),
+         (12.786999999999876, 0.833335, 0.255966),
+         (16.936999999999788, 0.833335, 0.253224),
+         (14.597000000000167, 0.666668, 0.133744)],
+        [(0.226644, 0.9976, 2494), (0.203361, 0.9976, 2494),
+         (0.059712, 0.9925, 794), (0.169675, 0.9976, 2494),
+         (0.098947, 0.995, 1194), (0.051094, 0.1996, 499),
+         (0.223456, 0.9976, 2494), (0.0, 0.0, 0)],
+        [(10.01, "parent:1", "host:1", "host:0", "slow"),
+         (10.01, "parent:3", "host:3", "host:6", "slow"),
+         (15.01, "parent:0", "host:2", "host:5", "timeout"),
+         (15.01, "parent:1", "host:2", "host:1", "timeout"),
+         (15.01, "parent:2", "host:6", "host:1", "timeout"),
+         (15.01, "parent:4", "host:4", "host:5", "timeout"),
+         (20.01, "parent:2", "host:4", "host:5", "timeout"),
+         (20.01, "parent:3", "host:4", "host:7", "timeout")],
+        (450, 18), 37755),
+    "open_loop": (
+        dict(num_hosts=3, duration=20.0, rng_seed=5,
+             policy_kind=PolicyKind.OPEN_LOOP,
+             message_latency=0.015, drop_probability=0.1),
+        [(34.94000000000004, 1.0, 0.0), (9.859999999999879, 0.5, 0.0)],
+        [(0.014877, 0.247, 494), (0.069928, 0.997, 1994),
+         (0.227988, 0.996, 1992)],
+        [],
+        (108, 11), 55051),
+    # Deliveries at 0.015 past a boundary, and a replacement activated
+    # 4.995 s after its move, fall between slice boundaries.
+    "off_grid": (
+        dict(num_hosts=4, duration=25.0, rng_seed=9,
+             parents=(job(num_hosts=2), job(num_hosts=2), job(num_hosts=1)),
+             message_latency=0.015, migration_overhead=4.995,
+             report_timeout=6.0, host_speeds=(1.0, 0.2)),
+        [(23.46199999999961, 0.75, 0.128755),
+         (19.739999999999668, 0.5, 0.0),
+         (17.65999999999996, 0.5, 0.0)],
+        [(0.441956, 0.9976, 2494), (0.121245, 0.3988, 997),
+         (0.121588, 0.3996, 999), (0.28218, 0.9976, 2494)],
+        [(10.01, "parent:0", "host:1", "host:2", "slow")],
+        (206, 0), 0),
+    "kill": (
+        dict(num_hosts=4, duration=25.0, rng_seed=11,
+             parents=(job(num_hosts=1), job(num_hosts=1), job(num_hosts=1)),
+             kill_hosts=((7.005, 0), (7.005, 1)), report_timeout=6.0,
+             migration_overhead=2.0),
+        [(10.489999999999865, 1.0, 0.409339),
+         (10.489999999999865, 1.0, 0.409339),
+         (17.00999999999986, 0.5, 0.0)],
+        [(0.181322, 1.0, 701), (0.0, 0.0, 0), (0.206533, 0.3196, 799),
+         (0.545721, 1.0, 2500)],
+        [(15.01, "parent:0", "host:0", "host:2", "timeout"),
+         (15.01, "parent:1", "host:0", "host:3", "timeout")],
+        (139, 0), 27113),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_HARNESS)
+def test_harness_runs_match_pinned_values(name):
+    overrides, parents, hosts, replacements, messages, unsettled = \
+        PINNED_HARNESS[name]
+    report = run_harness_scenario(ScenarioConfig(**overrides))
+    assert [(p["work_done"], p["funded_credits"], p["reclaimed_credits"])
+            for p in report.per_parent.values()] == parents
+    assert [(h["revenue_credits"], h["utilization"], h["slices_run"])
+            for h in report.per_host.values()] == hosts
+    assert report.replacements == replacements
+    assert (report.messages_sent, report.messages_dropped) == messages
+    assert report.unsettled_micro == unsettled

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tycoon_sim.errors import (
     ConfigError,
@@ -27,6 +29,7 @@ from tycoon_sim.harness.bank import (
     micro_to_credits,
 )
 from tycoon_sim.harness.messages import Message, MessageKind, Network
+from tycoon_sim.harness import scenario
 from tycoon_sim.harness.scenario import HarnessSim, ScenarioConfig
 from tycoon_sim.harness.sls import ServiceLocator
 
@@ -332,7 +335,8 @@ def test_unregistered_recipient_is_counted_not_raised():
 
 def one_host():
     """A one-host harness whose host is driven by hand, plus a log of the
-    agent ids its scheduler pushes onto the bid heap."""
+    agent ids its scheduler pushes onto the bid heap.  Its slices are
+    0.01 s long."""
     sim = HarnessSim(ScenarioConfig(num_hosts=1, duration=1.0,
                                     parents=(ParentJob(num_hosts=1),)))
     host = sim.hosts[0]
@@ -359,11 +363,9 @@ def test_seat_killed_before_activation_never_enters_the_heap():
     host.handle(to_host(MessageKind.FUND_AUCTIONEER, child_key="p/c0",
                         amount=MICRO))
     agent_id = host.children["p/c0"].agent.agent_id
-    sim.now = 0.2
-    host.run_slice()
+    host.run_slices(0, 20)
     host.handle(to_host(MessageKind.KILL_CHILD, child_key="p/c0"))
-    sim.now = 1.0
-    host.run_slice()
+    host.run_slices(20, 100)
     assert pushed == []
     assert agent_id not in host.sched.heap
     assert host.slices_won == 0
@@ -377,13 +379,118 @@ def test_seats_due_in_one_slice_enter_the_heap_in_open_order():
         host.handle(to_host(MessageKind.SPAWN_CHILD, child_key=key,
                             activate_at=at))
     ids = [host.children[key].agent.agent_id for key in due]
-    sim.now = 0.05
-    host.run_slice()
+    host.run_slices(5, 6)
     assert pushed == []
-    sim.now = 0.3
-    host.run_slice()
+    host.run_slices(30, 31)
     assert pushed == ids
     assert all(agent_id in host.sched.heap for agent_id in ids)
+
+
+def test_seats_due_inside_a_window_enter_the_heap_on_their_slice():
+    sim, host, pushed = one_host()
+    # 57 * 0.01 is 0.5700000000000001, so a seat due at 0.57 runs from
+    # slice 57; one due at 0.105 runs from slice 11, the first at or after.
+    for key, at in (("p/c0", 0.57), ("p/c1", 0.105)):
+        host.handle(to_host(MessageKind.SPAWN_CHILD, child_key=key,
+                            activate_at=at))
+        host.handle(to_host(MessageKind.FUND_AUCTIONEER, child_key=key,
+                            amount=MICRO))
+    first, second = (host.children[key].agent.agent_id
+                     for key in ("p/c0", "p/c1"))
+    entered = {}
+    set_runnable = host.sched.set_runnable
+
+    def spy(agent_id, runnable):
+        # Slices before this one's round are already counted.
+        entered[agent_id] = host.slices_alive
+        set_runnable(agent_id, runnable)
+
+    host.sched.set_runnable = spy
+    host.run_slices(0, 100)
+    assert pushed == [second, first]
+    assert entered == {second: 11, first: 57}
+    assert host.slices_alive == 100
+    assert host.slices_won == 100 - 11
+
+
+def test_idle_host_counts_its_slices_and_holds_no_round():
+    sim, host, pushed = one_host()
+    rounds = []
+    run_slice = host.sched.run_slice
+    host.sched.run_slice = lambda: rounds.append(1) or run_slice()
+    host.run_slices(0, 60)
+    assert host.slices_alive == 60
+    assert rounds == []
+    assert host.sched.slice_index == 0
+    # A seat that never activates in the window holds no round either.
+    host.handle(to_host(MessageKind.SPAWN_CHILD, child_key="p/c0",
+                        activate_at=5.0))
+    host.run_slices(60, 100)
+    assert (host.slices_alive, host.slices_won, rounds) == (100, 0, [])
+
+
+def test_dead_host_runs_no_slices():
+    sim, host, pushed = one_host()
+    host.kill()
+    host.run_slices(0, 100)
+    assert host.slices_alive == 0
+
+
+@given(st.floats(0.0, 100.0), st.floats(1e-4, 1.0))
+# 0.07 / 0.01 rounds up past 7, though 7 * 0.01 == 0.07; and
+# 0.030000000000000002 / 0.01 rounds down to 3, though 3 * 0.01 == 0.03.
+@example(0.07, 0.01)
+@example(0.030000000000000002, 0.01)
+def test_first_slice_at_is_the_first_slice_the_float_test_reaches(t, dt):
+    limit = 10**7
+    j = scenario._first_slice_at(t, dt, limit)
+    assert j * dt >= t
+    assert j == 0 or (j - 1) * dt < t
+    assert scenario._first_slice_at(t, dt, j) == j
+    assert scenario._first_slice_at(t, dt, j + 1) == j
+
+
+def test_no_ledger_write_falls_inside_a_window(monkeypatch):
+    cfg = ScenarioConfig(
+        num_hosts=3, duration=20.0, rng_seed=5,
+        policy_kind=PolicyKind.OPEN_LOOP, message_latency=0.015,
+        drop_probability=0.1, migration_overhead=0.995,
+        kill_hosts=((7.005, 0),), report_timeout=6.0,
+        audit_every_slice=True)
+    sim = HarnessSim(cfg)
+    dt = cfg.timeslice_length
+    writes, windows = [], []
+    running = []
+
+    def spying(name, original):
+        def spy(*args, **kwargs):
+            assert not running, f"{name} inside a window"
+            writes.append(sim.now)
+            return original(*args, **kwargs)
+        return spy
+
+    for name in ("bank_transfer", "apply_funding_policy"):
+        monkeypatch.setattr(scenario, name,
+                            spying(name, getattr(scenario, name)))
+    monkeypatch.setattr(BankLedger, "create_account",
+                        spying("create_account", BankLedger.create_account))
+    run_slices = scenario._HostNode.run_slices
+
+    def window(host, k0, k1):
+        windows.append((k0, k1))
+        running.append(host)
+        try:
+            run_slices(host, k0, k1)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(scenario._HostNode, "run_slices", window)
+    report = sim.run()
+    assert report.ledger_ok
+    assert max(k1 - k0 for k0, k1 in windows) > 1
+    assert len(writes) > 10
+    for t in writes:
+        assert not any(k0 * dt < t < k1 * dt for k0, k1 in windows), t
 
 
 # -- cumulative settlement at the bank --------------------------------------

@@ -89,6 +89,8 @@ def test_config_validate_rejects_bad_values():
         dict(weights=(1.0, -2.0)),
         dict(web=WorkloadSpec(request_probability=1.5)),
         dict(web=WorkloadSpec(service_demand=0.0)),
+        dict(web=WorkloadSpec(service_demand=0.011)),
+        dict(timeslice_length=1e-300),
         dict(web_intended_share=0.0),
         dict(funding_mean_interval=0.0),
         dict(initial_funding_intervals=-1.0),
@@ -97,6 +99,9 @@ def test_config_validate_rejects_bad_values():
         with pytest.raises(ConfigError):
             HostSimConfig(**overrides).validate()
     HostSimConfig().validate()
+    # A request that takes exactly one slice still fits in it.
+    HostSimConfig(timeslice_length=0.02,
+                  web=WorkloadSpec(service_demand=0.02)).validate()
 
 
 def test_comparison_rows_cover_the_grid():

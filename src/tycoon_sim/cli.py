@@ -49,6 +49,8 @@ def _parse_seed_range(text: str) -> list[int]:
         raise ConfigError(f"--seeds wants integer bounds, got {text!r}") from None
     if b < a:
         raise ConfigError(f"--seeds range {text!r} is empty")
+    if a < 0:
+        raise ConfigError(f"--seeds wants bounds >= 0, got {text!r}")
     return list(range(a, b + 1))
 
 
@@ -205,6 +207,8 @@ def _cmd_run(args) -> int:
     experiment = cfg.Experiment(args.experiment)
 
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         seeds = [args.seed]
     elif args.seeds is not None:
         seeds = _parse_seed_range(args.seeds)

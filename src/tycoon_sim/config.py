@@ -222,7 +222,10 @@ def validate_config(doc: dict) -> None:
     so a config stays valid when reused across experiments.
     """
     _check_keys(doc, _TOP_KEYS, "config")
-    _value(tuple[int, ...], doc.get("seeds", []), "seeds")
+    seeds = _value(tuple[int, ...], doc.get("seeds", []), "seeds")
+    for i, seed in enumerate(seeds):
+        if seed < 0:
+            raise ConfigError(f"invalid seeds[{i}]: must be >= 0")
     if _value(int, doc.get("repetitions", 1), "repetitions") < 1:
         raise ConfigError("invalid repetitions: must be >= 1")
     build_host_config(doc.get("host", {}))

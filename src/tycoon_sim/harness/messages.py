@@ -95,15 +95,14 @@ class Network:
         """Delivery time of the first message in the queue, if any."""
         return self._queue[0].delivery_time if self._queue else None
 
-    def pump(self, now: float) -> int:
-        """Deliver everything due at or before now; returns the count.
+    def pump(self, now: float) -> None:
+        """Deliver everything due at or before now.
 
         Messages to unregistered components (dead hosts) are counted and
         discarded, never raised: a crashed recipient must not take the
         rest of the system down with it.
         """
         queue, handlers, pop = self._queue, self._handlers, heapq.heappop
-        delivered = 0
         while queue and queue[0][0] <= now:
             msg = pop(queue)
             handler = handlers.get(msg.recipient)
@@ -111,5 +110,3 @@ class Network:
                 self.undeliverable += 1
                 continue
             handler(msg)
-            delivered += 1
-        return delivered

@@ -1,7 +1,7 @@
 """End-to-end scenario: parents fund children that bid on real hosts.
 
 Every host wraps the auction scheduler; every credit movement goes
-through the bank, with a per-(host, child) escrow account.  Hosts meter
+through the bank, with a per-child escrow account.  Hosts meter
 what each child spends and, on the advertise tick, report the
 *cumulative* spend of every escrow to the bank, which moves only what it
 has not moved yet: a lost or repeated report costs nothing, and the next
@@ -57,9 +57,13 @@ def _first_slice_at(t: float, dt: float, limit: int) -> int:
     return j
 
 
-def _escrow_account(host_index: int, child_key: str) -> str:
-    """The bank account holding one child's funds at one host."""
-    return f"escrow:{host_index}:{child_key}"
+def _escrow_account(child_key: str) -> str:
+    """The bank account holding one child's funds.
+
+    A child lives on one host for its whole life, since a replacement
+    always gets a new key, so the key alone names the account.
+    """
+    return f"escrow:{child_key}"
 
 
 @dataclass
@@ -109,10 +113,12 @@ class ScenarioConfig:
                     f"the cluster's num_hosts {self.num_hosts}")
         for name in ("num_hosts", "duration", "timeslice_length",
                      "funding_chunk_minutes", "sls_ttl", "advertise_interval",
-                     "monitor_interval", "funding_interval"):
+                     "monitor_interval", "report_timeout",
+                     "funding_interval"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name}: must be > 0")
-        for name in ("message_latency", "open_loop_income", "admin_pool"):
+        for name in ("message_latency", "migration_overhead",
+                     "open_loop_income", "admin_pool"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name}: must be >= 0")
         if not 0 <= self.drop_probability < 1:
@@ -136,7 +142,6 @@ class ScenarioConfig:
 
 @dataclass
 class ScenarioReport:
-    duration: float
     per_parent: dict
     per_host: dict
     replacements: list
@@ -158,10 +163,9 @@ class ScenarioReport:
 
 @dataclass(slots=True)
 class _Seat:
-    """One child's place at a host: its bidding account and escrow books."""
+    """One child's place at a host: its bidding account and metered spend."""
 
     agent: AgentAccount
-    escrow: str               # bank account holding the child's funds
     progress: float = 0.0
     spent: float = 0.0        # metered; the bank holds what it has moved
     activate_at: float = 0.0
@@ -174,10 +178,9 @@ class _HostNode:
         self.sim = sim
         self.host_id = f"host:{index}"
         self.provider_account = f"provider:{index}"
-        self.index = index
-        self.speed = (sim.config.host_speeds[index]
-                      if index < len(sim.config.host_speeds) else 1.0)
-        self._work_per_slice = self.speed * sim.config.timeslice_length
+        speed = (sim.config.host_speeds[index]
+                 if index < len(sim.config.host_speeds) else 1.0)
+        self._work_per_slice = speed * sim.config.timeslice_length
         self.sched = AuctionShareScheduler(SchedulerConfig(
             timeslice_length=sim.config.timeslice_length,
             price_mode=sim.config.price_mode))
@@ -186,7 +189,7 @@ class _HostNode:
         self._by_agent: dict[int, _Seat] = {}
         # Seats not yet runnable, in the order they were opened.
         self._pending: list[_Seat] = []
-        # Escrow of every child killed here -> its final metered spend.
+        # Key of every child killed here -> its final metered spend.
         self._killed: dict[str, int] = {}
         self._next_agent_id = 0
         self.slices_alive = 0
@@ -203,7 +206,7 @@ class _HostNode:
                 requested_cpu_seconds=chunk / self.sim.config.timeslice_length)
             self._next_agent_id += 1
             self.sched.add_agent(agent, runnable=False)
-            seat = _Seat(agent, _escrow_account(self.index, child_key))
+            seat = _Seat(agent)
             self.children[child_key] = seat
             self._by_agent[agent.agent_id] = seat
             self._pending.append(seat)
@@ -214,7 +217,7 @@ class _HostNode:
         if kind is MessageKind.SPAWN_CHILD:
             self._ensure_child(p["child_key"]).activate_at = p["activate_at"]
         elif kind is _FUND_AUCTIONEER:
-            if _escrow_account(self.index, p["child_key"]) in self._killed:
+            if p["child_key"] in self._killed:
                 # Funding raced a kill; the credits stay parked in the
                 # escrow account, where the close still collects them.
                 return
@@ -222,14 +225,14 @@ class _HostNode:
             self.sched.fund(seat.agent.agent_id,
                             micro_to_credits(p["amount"]))
         elif kind is MessageKind.KILL_CHILD:
-            escrow = _escrow_account(self.index, p["child_key"])
-            self._killed[escrow] = 0
-            seat = self.children.pop(p["child_key"], None)
+            key = p["child_key"]
+            self._killed[key] = 0
+            seat = self.children.pop(key, None)
             if seat is not None:
                 del self._by_agent[seat.agent.agent_id]
                 self._pending = [s for s in self._pending if s is not seat]
                 self.sched.set_runnable(seat.agent.agent_id, False)
-                self._killed[escrow] = math.floor(seat.spent * MICRO)
+                self._killed[key] = math.floor(seat.spent * MICRO)
             # The close goes out at once.  A dropped KILL_CHILD is not
             # retried: the orphan bids until its lump is gone, and its
             # spend is settled like any other.
@@ -238,8 +241,7 @@ class _HostNode:
             self.sim.network.send(
                 self.sim.now, self.host_id, msg.sender,
                 MessageKind.PROGRESS_REPORT,
-                {"child_key": p["child_key"], "host": self.host_id,
-                 **self._stats(p["child_key"])})
+                {"child_key": p["child_key"], **self._stats(p["child_key"])})
 
     def _stats(self, child_key: str) -> dict:
         seat = self.children.get(child_key)
@@ -289,17 +291,17 @@ class _HostNode:
             k0 = end
 
     def metered(self) -> dict[str, int]:
-        """Escrow -> whole micro-credits of spend metered so far.
+        """Child key -> whole micro-credits of spend metered so far.
 
         The fractional tail of a spend stays in escrow.
         """
-        totals = {seat.escrow: math.floor(seat.spent * MICRO)
-                  for seat in self.children.values()}
+        totals = {key: math.floor(seat.spent * MICRO)
+                  for key, seat in self.children.items()}
         totals.update(self._killed)
         return totals
 
     def settle(self) -> None:
-        """Send the bank one report: every escrow's cumulative spend.
+        """Send the bank one report: every child's cumulative spend.
 
         Killed children are repeated with their final spend and a close
         request on every report, so the host is who retries a dropped
@@ -315,10 +317,7 @@ class _HostNode:
     def advertise(self) -> None:
         if self.alive:
             self.sim.network.send(self.sim.now, self.host_id, "sls",
-                                  MessageKind.ADVERTISE,
-                                  {"host": self.host_id,
-                                   "resources": {"speed": self.speed},
-                                   "ttl": self.sim.config.sls_ttl})
+                                  MessageKind.ADVERTISE)
 
     def kill(self) -> None:
         self.alive = False
@@ -350,7 +349,7 @@ class _ParentNode:
     def handle(self, msg) -> None:
         kind, p = msg.kind, msg.payload
         if kind is MessageKind.LOOKUP_RESULT:
-            self.known_hosts = [e["host"] for e in p["entries"]]
+            self.known_hosts = p["hosts"]
             if not self._provisioned and self.known_hosts:
                 self._provisioned = True
                 self._initial_placement()
@@ -454,9 +453,8 @@ class _ParentNode:
             # but never reported goes back to this parent; if the host was
             # alive after all, its late report finds the escrow closed and
             # that spend stays unsettled.
-            escrow = _escrow_account(int(old_host.split(":")[1]), child_key)
             self.sim.network.send(self.sim.now, self.parent_id, "bank",
-                                  MessageKind.TRANSFER, {"close": [escrow]})
+                                  MessageKind.TRANSFER, {"close": [child_key]})
         self.sim.replacements.append(
             (self.sim.now, self.parent_id, old_host, new_host, reason))
         self._spawn_child(new_host,
@@ -470,7 +468,7 @@ class _ParentNode:
 
 @dataclass(slots=True)
 class _Escrow:
-    """The bank's books on one escrow account."""
+    """The bank's books on one child's escrow account."""
 
     owner_account: str | None = None  # funded it; gets the remainder back
     owner_id: str | None = None       # the parent told of that refund
@@ -483,6 +481,7 @@ class _BankNode:
 
     def __init__(self, sim):
         self.sim = sim
+        # Child key -> the books on its escrow account.
         self.escrows: dict[str, _Escrow] = {}
 
     def handle(self, msg) -> None:
@@ -490,12 +489,14 @@ class _BankNode:
         ledger = self.sim.ledger
         kind = msg.kind
         if kind is _FUND_AUCTIONEER:
-            escrow = _escrow_account(int(p["host"].split(":")[1]),
-                                     p["child_key"])
+            key = p["child_key"]
+            escrow = _escrow_account(key)
+            # Test the ledger, not self.escrows: a close may already have
+            # booked a key whose funding was dropped, and its account
+            # still has to be opened.
             if escrow not in ledger.accounts:
                 ledger.create_account(escrow)
-                self.escrows[escrow] = _Escrow(p["parent_account"],
-                                               msg.sender)
+                self.escrows[key] = _Escrow(p["parent_account"], msg.sender)
             try:
                 bank_transfer(ledger, p["parent_account"], escrow,
                               p["amount"])
@@ -504,37 +505,36 @@ class _BankNode:
                 return
             self.sim.network.send(self.sim.now, "bank", p["host"],
                                   MessageKind.FUND_AUCTIONEER,
-                                  {"child_key": p["child_key"],
-                                   "amount": p["amount"]})
+                                  {"child_key": key, "amount": p["amount"]})
         elif kind is _TRANSFER:
             # Settlements first, so a host's close applies its final
             # spend before the sweep.
-            for escrow, total in p.get("cumulative", {}).items():
-                self._settle(escrow, p["to"], total)
-            for escrow in p["close"]:
-                self._close(escrow)
+            for key, total in p.get("cumulative", {}).items():
+                self._settle(key, p["to"], total)
+            for key in p["close"]:
+                self._close(key)
 
-    def _settle(self, escrow: str, provider: str, total: int) -> None:
-        """Pay the provider up to `total`, the escrow's cumulative spend.
+    def _settle(self, key: str, provider: str, total: int) -> None:
+        """Pay the provider up to `total`, the child's cumulative spend.
 
         Only the part not moved yet moves: a duplicate or stale report
         moves nothing, and one after a lost report moves the whole gap.
         A report that finds the escrow closed comes too late to be paid.
         """
-        books = self.escrows.get(escrow)
+        books = self.escrows.get(key)
         if books is None or books.closed or total <= books.moved:
             return
         try:
-            bank_transfer(self.sim.ledger, escrow, provider,
+            bank_transfer(self.sim.ledger, _escrow_account(key), provider,
                           total - books.moved)
         except InsufficientBalanceError:
             self.sim.rejected_transfers += 1
             return
         books.moved = total
 
-    def _close(self, escrow: str) -> None:
-        """Sweep what the escrow still holds back to its owner, once."""
-        books = self.escrows.setdefault(escrow, _Escrow())
+    def _close(self, key: str) -> None:
+        """Sweep what the child's escrow still holds to its owner, once."""
+        books = self.escrows.setdefault(key, _Escrow())
         if books.closed:
             return
         books.closed = True
@@ -543,6 +543,7 @@ class _BankNode:
             # there is nothing to sweep.
             self.sim.rejected_transfers += 1
             return
+        escrow = _escrow_account(key)
         amount = self.sim.ledger.balance(escrow)
         if amount:
             bank_transfer(self.sim.ledger, escrow, books.owner_account,
@@ -554,19 +555,15 @@ class _BankNode:
 class _SLSNode:
     def __init__(self, sim):
         self.sim = sim
-        self.registry = ServiceLocator()
+        self.registry = ServiceLocator(sim.config.sls_ttl)
 
     def handle(self, msg) -> None:
         if msg.kind is MessageKind.ADVERTISE:
-            self.registry.advertise(msg.payload["host"],
-                                    msg.payload["resources"],
-                                    msg.payload["ttl"], self.sim.now)
+            self.registry.advertise(msg.sender, self.sim.now)
         elif msg.kind is MessageKind.LOOKUP:
-            entries = [{"host": e.host, "resources": e.resources}
-                       for e in self.registry.lookup(self.sim.now)]
+            hosts = self.registry.lookup(self.sim.now)
             self.sim.network.send(self.sim.now, "sls", msg.sender,
-                                  MessageKind.LOOKUP_RESULT,
-                                  {"entries": entries})
+                                  MessageKind.LOOKUP_RESULT, {"hosts": hosts})
 
 
 class HarnessSim:
@@ -727,8 +724,8 @@ class HarnessSim:
         per_host = {}
         unsettled = 0
         for host in self.hosts:
-            for escrow, total in host.metered().items():
-                books = self.bank.escrows.get(escrow)
+            for key, total in host.metered().items():
+                books = self.bank.escrows.get(key)
                 unsettled += total - (books.moved if books else 0)
             revenue = self.ledger.balance(host.provider_account) \
                 + drained[host.provider_account]
@@ -740,7 +737,6 @@ class HarnessSim:
                 "slices_run": host.slices_won,
             }
         return ScenarioReport(
-            duration=self.config.duration,
             per_parent=per_parent,
             per_host=per_host,
             replacements=list(self.replacements),

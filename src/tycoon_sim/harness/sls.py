@@ -1,37 +1,27 @@
-"""Service location: a soft-state registry of advertised hosts.
+"""Service location: a soft-state registry of live hosts.
 
-Entries expire after their TTL and are simply re-advertised while a host
-lives.  Lookups may return information that is stale relative to the
-true host state; consumers are expected to cope (a delayed allocation,
-not a wrong one).
+A host's lease expires one TTL after its last advertisement and is
+simply renewed while the host lives.  Lookups may list a host that has
+died within the last TTL; consumers are expected to cope (a delayed
+allocation, not a wrong one).
 """
-
-from dataclasses import dataclass
 
 from ..errors import ConfigError
 
 
-@dataclass
-class SLSEntry:
-    host: str
-    resources: dict
-    expires_at: float
-
-
 class ServiceLocator:
-    def __init__(self):
-        # One entry per host, overwritten on re-advertise, so expired
-        # entries never accumulate and need no pruning.
-        self._entries: dict[str, SLSEntry] = {}
-
-    def advertise(self, host: str, resources: dict, ttl: float,
-                  now: float) -> None:
+    def __init__(self, ttl: float):
         if ttl <= 0:
             raise ConfigError("ttl must be > 0")
-        self._entries[host] = SLSEntry(host=host, resources=dict(resources),
-                                       expires_at=now + ttl)
+        self.ttl = ttl
+        # Host -> lease expiry, overwritten on re-advertise, so expired
+        # leases never accumulate and need no pruning.
+        self._expiry: dict[str, float] = {}
 
-    def lookup(self, now: float) -> list:
-        """Unexpired entries in host-id order."""
-        live = [e for e in self._entries.values() if e.expires_at > now]
-        return sorted(live, key=lambda e: e.host)
+    def advertise(self, host: str, now: float) -> None:
+        self._expiry[host] = now + self.ttl
+
+    def lookup(self, now: float) -> list[str]:
+        """Hosts with an unexpired lease, in host-id order."""
+        return sorted(host for host, expires_at in self._expiry.items()
+                      if expires_at > now)

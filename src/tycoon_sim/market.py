@@ -58,7 +58,6 @@ class MarketConfig:
 
 @dataclass
 class UtilityResult:
-    mean_interarrival: float
     mean_utility_per_host_per_time_unit: float
 
 
@@ -242,10 +241,7 @@ class MarketSim:
         cfg = self.config
         denom = cfg.num_hosts * cfg.duration
         mean_util = self.total_utility / denom if denom else 0.0
-        return UtilityResult(
-            mean_interarrival=cfg.mean_task_interarrival,
-            mean_utility_per_host_per_time_unit=mean_util,
-        )
+        return UtilityResult(mean_utility_per_host_per_time_unit=mean_util)
 
 
 def run_market_sim(config: MarketConfig) -> UtilityResult:

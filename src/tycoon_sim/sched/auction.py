@@ -47,13 +47,6 @@ def pending_reservation(reservations: Sequence[Reservation]) -> Reservation | No
     return min(behind, key=lambda r: r.accepted_at)
 
 
-def fund(account: AgentAccount, amount: float) -> None:
-    """Deposit credits into the account."""
-    if amount < 0:
-        raise InvalidAmountError(f"cannot deposit {amount}")
-    account.balance += amount
-
-
 def reservation_quote(
     stats: PriceStats,
     fraction: float,
@@ -107,13 +100,10 @@ def reservation_accept(
 
 @dataclass(slots=True)
 class SliceResult:
-    """Outcome of one auctioned timeslice."""
+    """Outcome of one auctioned timeslice: who ran, and what it paid."""
 
-    slice_index: int
     winner: int | str | None
     payment: float
-    clearing_price: float
-    reserved: bool = False
 
 
 class AuctionShareScheduler:
@@ -134,8 +124,7 @@ class AuctionShareScheduler:
         self.accounts: dict = {}
         self.heap = BidHeap()
         self.reservations: list[Reservation] = []
-        self.price_stats = PriceStats(self.config.price_window)
-        self.revenue = 0.0
+        self.price_stats = PriceStats()
         self.slice_index = 0
 
     # -- account management --------------------------------------------
@@ -156,8 +145,11 @@ class AuctionShareScheduler:
             self.heap.remove(agent_id)
 
     def fund(self, agent_id, amount: float) -> None:
+        """Deposit credits into the agent's account."""
+        if amount < 0:
+            raise InvalidAmountError(f"cannot deposit {amount}")
         account = self.accounts[agent_id]
-        fund(account, amount)
+        account.balance += amount
         if agent_id in self.heap:
             self.heap.update(agent_id, compute_bid(account))
 
@@ -173,13 +165,12 @@ class AuctionShareScheduler:
         )
 
     def accept(self, agent_id, fraction: float, period: int) -> Reservation:
-        """Quote and accept in one step; the payment becomes revenue."""
+        """Quote and accept in one step."""
         price = self.quote(fraction, period)
         reservation = reservation_accept(
             self.accounts[agent_id], price, fraction, period,
             accepted_at=self.slice_index,
         )
-        self.revenue += price
         if agent_id in self.heap:
             self.heap.update(agent_id, compute_bid(self.accounts[agent_id]))
         self.reservations.append(reservation)
@@ -200,12 +191,9 @@ class AuctionShareScheduler:
 
         if reservation is not None:
             # Prepaid proxy win; priced at the best competing spot bid.
-            clearing = top[1] if top is not None else 0.0
-            result = SliceResult(
-                self.slice_index, reservation.agent_id, 0.0, clearing, True
-            )
+            result = SliceResult(reservation.agent_id, 0.0)
             reservation.slices_won += 1
-            self.price_stats.observe(clearing)
+            self.price_stats.observe(top[1] if top is not None else 0.0)
         elif top is not None:
             winner_id = top[0]
             # Called in either price mode, so the heap's operation count
@@ -225,13 +213,11 @@ class AuctionShareScheduler:
             if balance < payment:
                 payment = balance
             account.balance = balance - payment
-            self.revenue += payment
             heap.update(winner_id, compute_bid(account))
-            clearing = payment / fraction
-            result = SliceResult(self.slice_index, winner_id, payment, clearing)
-            self.price_stats.observe(clearing)
+            result = SliceResult(winner_id, payment)
+            self.price_stats.observe(payment / fraction)
         else:
-            result = SliceResult(self.slice_index, None, 0.0, 0.0)
+            result = SliceResult(None, 0.0)
 
         if reservations:
             for r in reservations:

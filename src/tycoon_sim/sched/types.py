@@ -151,4 +151,3 @@ class SchedulerConfig:
     timeslice_length: float = 0.010
     price_mode: PriceMode = PriceMode.FIRST_PRICE
     reservation_capacity: float = 0.5
-    price_window: int = 1000

@@ -21,7 +21,6 @@ from tycoon_sim.errors import (
 from tycoon_sim.sched.auction import (
     AuctionShareScheduler,
     compute_bid,
-    fund,
     reservation_accept,
     reservation_quote,
 )
@@ -125,9 +124,12 @@ def test_full_slice_first_price_charges_own_bid():
 
 def test_half_slice_prorates_payment():
     acct = account(0, 100.0, 10.0)
-    result = one_round(FIRST, [acct], elapsed=0.005)
+    sched = AuctionShareScheduler(FIRST)
+    sched.add_agent(acct)
+    result = sched.run_slice(0.005)
     assert result.payment == 5.0
-    assert result.clearing_price == 10.0
+    # The clearing price is the full-slice rate the payment was cut from.
+    assert sched.price_stats.mean == 10.0
     assert acct.balance == 95.0
 
 
@@ -172,11 +174,14 @@ def test_round_rejects_a_winner_without_request():
 
 
 def test_fund_rejects_negative():
+    sched = AuctionShareScheduler(FIRST)
     acct = account(0, 1.0)
-    fund(acct, 2.5)
+    sched.add_agent(acct)
+    sched.fund(0, 2.5)
     assert acct.balance == 3.5
     with pytest.raises(InvalidAmountError):
-        fund(acct, -0.1)
+        sched.fund(0, -0.1)
+    assert acct.balance == 3.5
 
 
 # -- price statistics -----------------------------------------------------
@@ -376,7 +381,7 @@ def test_reservation_ceiling_bound():
 # -- the stateful scheduler ----------------------------------------------
 
 
-def test_run_slice_charges_winner_and_tracks_revenue():
+def test_run_slice_charges_winner_and_records_clearing_price():
     sched = AuctionShareScheduler(FIRST)
     sched.add_agent(account(0, 100.0, 10.0))
     sched.add_agent(account(1, 30.0, 10.0))
@@ -384,8 +389,8 @@ def test_run_slice_charges_winner_and_tracks_revenue():
     assert result.winner == 0
     assert result.payment == 10.0
     assert sched.accounts[0].balance == 90.0
-    assert sched.revenue == 10.0
-    assert result.clearing_price == 10.0
+    assert sched.accounts[1].balance == 30.0
+    assert (len(sched.price_stats), sched.price_stats.mean) == (1, 10.0)
 
 
 def test_winner_bid_decays_until_overtaken():

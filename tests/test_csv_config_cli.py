@@ -282,6 +282,12 @@ BAD_DOCUMENTS = [
     ("harness.message_latency", {"harness": {"message_latency": -1}}),
     ("harness.drop_probability", {"harness": {"drop_probability": 2}}),
     ("harness.sls_ttl", {"harness": {"sls_ttl": 0}}),
+    # These two also name the bound, which keeps their ids apart from the
+    # wrong-typed probes of the same fields.
+    ("harness.report_timeout: must be > 0",
+     {"harness": {"report_timeout": -1}}),
+    ("harness.migration_overhead: must be >= 0",
+     {"harness": {"migration_overhead": -2}}),
     ("market.num_users", {"market": {"num_users": 2.5}}),
     ("host.num_timeslices", {"host": {"num_timeslices": 1e3}}),
     ("host.web.yields_cpu", {"host": {"web": {"yields_cpu": "no"}}}),
@@ -394,6 +400,25 @@ def test_env_var_names_output_dir(tmp_path, monkeypatch):
     assert cli.main(["run", "--experiment", "host", "--config", conf,
                      "--seed", "1"]) == 0
     assert (tmp_path / "from_env" / "host.csv").exists()
+
+
+# A negative seed once passed `validate`, and `run` then died in numpy's
+# seeding with exit 1, the status kept for I/O errors.
+@pytest.mark.parametrize("seeds,argv,named", [
+    ([-1], [], "seeds[0]"),
+    ([4, -1], [], "seeds[1]"),
+    ([], ["--seed", "-3"], "--seed"),
+    ([], ["--seeds=-3..2"], "--seeds"),
+])
+def test_negative_seeds_exit_2(tmp_path, capsys, seeds, argv, named):
+    conf = write_json(tmp_path, {**smoke_doc(), "seeds": seeds})
+    commands = [["run", "--experiment", "host", "--config", conf,
+                 "--out", str(tmp_path / "o"), *argv]]
+    if not argv:
+        commands.append(["validate", "--config", conf])
+    for command in commands:
+        assert cli.main(command) == 2
+        assert named in capsys.readouterr().err
 
 
 def test_bad_seed_range_is_diagnosed(tmp_path, capsys):

@@ -77,11 +77,11 @@ def test_lossy_settlement_still_pays_the_provider_exactly():
                    message_latency=0.02, drop_probability=0.2)
     sim = HarnessSim(cfg)
     report = sim.run()
-    (seat,) = sim.hosts[0].children.values()
+    ((key, seat),) = sim.hosts[0].children.items()
     assert report.messages_dropped > 0
     revenue_micro = sim.ledger.balance("provider:0")
     assert revenue_micro == math.floor(seat.spent * MICRO)
-    assert sim.ledger.balance(seat.escrow) \
+    assert sim.ledger.balance(f"escrow:{key}") \
         + revenue_micro + sim.ledger.balance("user:0") \
         == credits_to_micro(2.0)
     assert report.ledger_ok
@@ -98,11 +98,11 @@ def test_spend_a_killed_host_never_reported_goes_back_to_the_parent():
     victim = next(i for i in range(2) if busy[f"host:{i}"]["slices_run"])
     sim = HarnessSim(dataclasses.replace(cfg, kill_hosts=((11.0, victim),)))
     report = sim.run()
-    (escrow, metered), = sim.hosts[victim].metered().items()
-    moved = sim.bank.escrows[escrow].moved
+    (key, metered), = sim.hosts[victim].metered().items()
+    moved = sim.bank.escrows[key].moved
     assert 0 < moved < metered
     assert sim.ledger.balance(f"provider:{victim}") == moved
-    assert sim.ledger.balance(escrow) == 0
+    assert sim.ledger.balance(f"escrow:{key}") == 0
     assert report.unsettled_micro == metered - moved
     assert report.per_parent["parent:0"]["reclaimed_credits"] > 0
     assert report.ledger_ok
@@ -220,7 +220,7 @@ def test_reclaim_from_an_unopened_escrow_is_a_rejected_transfer():
     # account that the replacement's reclaim TRANSFER sweeps.
     sim = HarnessSim(scenario())
     sim.network.send(0.0, "parent:0", "bank", MessageKind.TRANSFER,
-                     {"close": ["escrow:0:parent:0/c0"]})
+                     {"close": ["parent:0/c0"]})
     sim.network.pump(0.0)
     assert sim.rejected_transfers == 1
     assert sim.parents[0].reclaimed_micro == 0
@@ -259,22 +259,26 @@ def small_scenarios(draw):
 
 
 def run_noting_settlements(cfg):
-    """Run a scenario; also return, per escrow, the last cumulative spend
-    the bank was told before the escrow closed."""
+    """Run a scenario; also return, per child key, the last cumulative
+    spend the bank was told before the escrow closed, and every host the
+    bank was asked to fund the child at."""
     sim = HarnessSim(cfg)
-    told, closed = {}, set()
+    told, closed, funded_at = {}, set(), {}
     handle = sim.bank.handle
 
     def spy(msg):
+        p = msg.payload
         if msg.kind is MessageKind.TRANSFER:
-            for escrow, total in msg.payload.get("cumulative", {}).items():
-                if escrow not in closed:
-                    told[escrow] = total
-            closed.update(msg.payload["close"])
+            for key, total in p.get("cumulative", {}).items():
+                if key not in closed:
+                    told[key] = total
+            closed.update(p["close"])
+        elif msg.kind is MessageKind.FUND_AUCTIONEER:
+            funded_at.setdefault(p["child_key"], set()).add(p["host"])
         handle(msg)
 
     sim.network.register("bank", spy)
-    return sim, sim.run(), told
+    return sim, sim.run(), told, funded_at
 
 
 @settings(max_examples=150, deadline=None)
@@ -282,22 +286,25 @@ def run_noting_settlements(cfg):
 def test_random_small_scenarios_keep_the_books(cfg):
     # audit_every_slice raises as soon as any slice leaves the ledger
     # out of balance.
-    sim, report, told = run_noting_settlements(cfg)
+    sim, report, told, funded_at = run_noting_settlements(cfg)
     assert report.ledger_ok
     assert report.no_negative_balances
     assert report.total_issued == report.final_total
     for _, host in cfg.kill_hosts:
         assert not report.per_host[f"host:{host}"]["alive"]
+    # A child key names one child on one host, which is what lets the
+    # bank name an escrow by the key alone.
+    assert all(len(hosts) == 1 for hosts in funded_at.values())
     # Once an escrow's final spend reaches the bank, its provider holds
     # exactly the metered spend; every other gap is reported unsettled.
     unsettled = 0
     for host in sim.hosts:
         receipts = 0
-        for escrow, metered in host.metered().items():
-            books = sim.bank.escrows.get(escrow)
+        for key, metered in host.metered().items():
+            books = sim.bank.escrows.get(key)
             moved = books.moved if books else 0
             assert 0 <= moved <= metered
-            if told.get(escrow, 0) == metered:
+            if told.get(key, 0) == metered:
                 assert moved == metered
             receipts += moved
             unsettled += metered - moved

@@ -200,41 +200,40 @@ def test_replacement_prefers_unused_hosts():
 
 
 def test_advertise_and_lookup():
-    reg = ServiceLocator()
-    reg.advertise("host:1", {"cpu": 1.0}, ttl=5.0, now=0.0)
-    reg.advertise("host:0", {"cpu": 0.5}, ttl=5.0, now=0.0)
-    hosts = [e.host for e in reg.lookup(now=1.0)]
-    assert hosts == ["host:0", "host:1"]  # sorted, both live
+    reg = ServiceLocator(ttl=5.0)
+    reg.advertise("host:1", now=0.0)
+    reg.advertise("host:0", now=0.0)
+    assert reg.lookup(now=1.0) == ["host:0", "host:1"]  # sorted, both live
 
 
 def test_entries_expire_at_ttl():
-    reg = ServiceLocator()
-    reg.advertise("host:0", {}, ttl=5.0, now=0.0)
+    reg = ServiceLocator(ttl=5.0)
+    reg.advertise("host:0", now=0.0)
     assert reg.lookup(now=4.999)
     assert reg.lookup(now=5.0) == []  # the boundary instant is expired
 
 
 def test_readvertising_refreshes_the_lease():
-    reg = ServiceLocator()
-    reg.advertise("host:0", {"cpu": 1}, ttl=5.0, now=0.0)
-    reg.advertise("host:0", {"cpu": 2}, ttl=5.0, now=4.0)
-    live = reg.lookup(now=8.0)
-    assert len(live) == 1
-    assert live[0].resources == {"cpu": 2}
+    reg = ServiceLocator(ttl=5.0)
+    reg.advertise("host:0", now=0.0)
+    reg.advertise("host:0", now=4.0)
+    assert reg.lookup(now=8.0) == ["host:0"]
+    assert reg.lookup(now=9.0) == []
 
 
 def test_dead_host_disappears_within_one_ttl():
-    reg = ServiceLocator()
-    reg.advertise("host:0", {}, ttl=5.0, now=0.0)
-    reg.advertise("host:1", {}, ttl=5.0, now=0.0)
+    reg = ServiceLocator(ttl=5.0)
+    reg.advertise("host:0", now=0.0)
+    reg.advertise("host:1", now=0.0)
     # host:1 dies silently; host:0 keeps advertising.
-    reg.advertise("host:0", {}, ttl=5.0, now=2.0)
-    assert [e.host for e in reg.lookup(now=5.5)] == ["host:0"]
+    reg.advertise("host:0", now=2.0)
+    assert reg.lookup(now=5.5) == ["host:0"]
 
 
 def test_nonpositive_ttl_rejected():
-    with pytest.raises(ConfigError):
-        ServiceLocator().advertise("host:0", {}, ttl=0.0, now=0.0)
+    for ttl in (0.0, -1.0):
+        with pytest.raises(ConfigError):
+            ServiceLocator(ttl)
 
 
 # -- message network -----------------------------------------------------------
@@ -496,25 +495,27 @@ def test_no_ledger_write_falls_inside_a_window(monkeypatch):
 # -- cumulative settlement at the bank --------------------------------------
 
 
-ESCROW = "escrow:0:parent:0/c0"
+CHILD = "parent:0/c0"
+ESCROW = f"escrow:{CHILD}"
 
 
 def bank_with_escrow(lump):
-    """A harness whose bank has opened ESCROW with one lump from user:0."""
+    """A harness whose bank has opened CHILD's escrow with one lump from
+    user:0."""
     sim = HarnessSim(ScenarioConfig(num_hosts=1, duration=1.0,
                                     parents=(ParentJob(num_hosts=1),)))
     sim.bank.handle(Message(
         delivery_time=0.0, sender="parent:0", seq=0, recipient="bank",
         kind=MessageKind.FUND_AUCTIONEER,
         payload={"parent_account": "user:0", "host": "host:0",
-                 "child_key": "parent:0/c0", "amount": lump}))
+                 "child_key": CHILD, "amount": lump}))
     return sim
 
 
 def report(total, close=()):
     return Message(delivery_time=0.0, sender="host:0", seq=0,
                    recipient="bank", kind=MessageKind.TRANSFER,
-                   payload={"to": "provider:0", "cumulative": {ESCROW: total},
+                   payload={"to": "provider:0", "cumulative": {CHILD: total},
                             "close": list(close)})
 
 
@@ -534,20 +535,20 @@ def test_report_after_a_lost_one_moves_the_whole_gap():
     # report(450) was lost on the way.
     sim.bank.handle(report(700))
     assert sim.ledger.balance("provider:0") == 700
-    assert sim.bank.escrows[ESCROW].moved == 700
+    assert sim.bank.escrows[CHILD].moved == 700
 
 
 def test_close_settles_the_final_spend_before_the_sweep():
     sim = bank_with_escrow(MICRO)
     user = sim.ledger.balance("user:0")
     sim.bank.handle(report(300))
-    sim.bank.handle(report(700, close=[ESCROW]))
+    sim.bank.handle(report(700, close=[CHILD]))
     assert sim.ledger.balance("provider:0") == 700
     assert sim.ledger.balance(ESCROW) == 0
     assert sim.ledger.balance("user:0") == user + MICRO - 700
     # The host repeats its close until one gets through; repeats, and
     # reports that reach the closed escrow, move nothing.
-    sim.bank.handle(report(700, close=[ESCROW]))
+    sim.bank.handle(report(700, close=[CHILD]))
     sim.bank.handle(report(900))
     assert sim.ledger.balance("provider:0") == 700
     sim.network.pump(1.0)

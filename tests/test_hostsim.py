@@ -187,3 +187,64 @@ def test_auction_shares_follow_income_rates():
     for pid, rate in ((1, 2), (2, 3), (3, 4)):
         assert metrics.per_process_shares[pid] == pytest.approx(
             leftover * rate / 9, abs=0.02)
+
+
+# repr-exact HostMetrics of the five comparison rows over 400 slices (50
+# of warm-up) at two seeds: (scheduling_error, mean_latency, utilization,
+# per_process_shares).  A run that changes a float operation, a random
+# draw or a winner misses them in the last digits.
+PINNED_HOST = {
+    3: {
+        "ps-1/10-yield": (
+            0.057497467071935204, 0.08984498668370605, 1.0,
+            {0: 0.05714285714285714, 1: 0.20857142857142857,
+             2: 0.3142857142857143, 3: 0.42}),
+        "ps-7/10-yield": (
+            0.013281250000000099, 0.004734452100885274, 1.0,
+            {0: 0.08571428571428572, 1: 0.20285714285714285,
+             2: 0.3028571428571429, 3: 0.4085714285714286}),
+        "ps-7/10-noyield": (
+            8.002380952380951, 0.011018488930676692, 1.0,
+            {0: 0.7, 1: 0.06571428571428571, 2: 0.1,
+             3: 0.13428571428571429}),
+        "as-1/10-yield": (
+            0.04609375000000017, 0.004734452100885274, 1.0,
+            {0: 0.08571428571428572, 1: 0.20285714285714285,
+             2: 0.29714285714285715, 3: 0.4142857142857143}),
+        "as-1/10-noyield": (
+            0.1904761904761907, 0.1199428442566553, 1.0,
+            {0: 0.08857142857142856, 1: 0.2057142857142857,
+             2: 0.29428571428571426, 3: 0.4114285714285714}),
+    },
+    8: {
+        "ps-1/10-yield": (
+            0.056737588652482046, 0.08848267117816216, 1.0,
+            {0: 0.06285714285714286, 1: 0.20857142857142857,
+             2: 0.31142857142857144, 3: 0.41714285714285715}),
+        "ps-7/10-yield": (
+            0.013665594855305427, 0.005101169029439732, 1.0,
+            {0: 0.11142857142857143, 1: 0.19714285714285715,
+             2: 0.29428571428571426, 3: 0.39714285714285713}),
+        "ps-7/10-noyield": (
+            8.002380952380951, 0.00905973386823062, 1.0,
+            {0: 0.7, 1: 0.06571428571428571, 2: 0.1,
+             3: 0.13428571428571429}),
+        "as-1/10-yield": (
+            0.06913183279742749, 0.005101169029439732, 1.0,
+            {0: 0.11142857142857143, 1: 0.19428571428571428,
+             2: 0.2885714285714286, 3: 0.4057142857142857}),
+        "as-1/10-noyield": (
+            0.1904761904761907, 0.11141513955859549, 1.0,
+            {0: 0.08857142857142856, 1: 0.2057142857142857,
+             2: 0.29428571428571426, 3: 0.4114285714285714}),
+    },
+}
+
+
+@pytest.mark.parametrize("seed", PINNED_HOST)
+def test_host_runs_match_pinned_values(seed):
+    base = HostSimConfig(**SMALL, rng_seed=seed)
+    for label, cfg in comparison_rows(base):
+        m = run_host_sim(cfg)
+        assert (m.scheduling_error, m.mean_latency, m.utilization,
+                m.per_process_shares) == PINNED_HOST[seed][label], label

@@ -255,7 +255,12 @@ class _HostNode:
         """Run slices ``k0 .. k1 - 1``, which hold no event.
 
         A seat falling due splits the window: due seats enter the heap
-        before their slice's round, in the order they were opened.
+        before their slice's round, in the order they were opened.  In
+        between, nobody enters, leaves or is funded, so the scheduler
+        holds a stretch of two or more rounds in one ``run_rounds`` call;
+        a lone round goes through ``run_slice``, which costs less.  Each
+        won round then adds to its seat's progress and spend on its own,
+        in round order, so the sums are those of stepping each slice.
         """
         if not self.alive:
             return
@@ -273,21 +278,25 @@ class _HostNode:
                         waiting.append(seat)
                         end = _first_slice_at(seat.activate_at, dt, end)
                 self._pending = waiting
-            self.slices_alive += end - k0
+            rounds = end - k0
+            self.slices_alive += rounds
             # With nobody bidding no round is held, so the scheduler's
             # slice_index counts only the rounds held; the harness never
-            # reads it.
-            if sched.heap or sched.reservations:
-                run_slice = sched.run_slice
-                for _ in range(end - k0):
-                    result = run_slice()
-                    if result.winner is not None:
-                        self.slices_won += 1
-                        # Only seated, activated agents are runnable, so
-                        # the winner has a seat.
-                        seat = by_agent[result.winner]
-                        seat.progress += work
-                        seat.spent += result.payment
+            # reads it.  Hosts sell no reservations, so every round held
+            # has a winner.
+            if sched.heap:
+                if rounds == 1:
+                    result = sched.run_slice()
+                    winners, payments = (result.winner,), (result.payment,)
+                else:
+                    winners, payments = sched.run_rounds(rounds)
+                self.slices_won += rounds
+                for winner, payment in zip(winners, payments):
+                    # Only seated, activated agents are runnable, so the
+                    # winner has a seat.
+                    seat = by_agent[winner]
+                    seat.progress += work
+                    seat.spent += payment
             k0 = end
 
     def metered(self) -> dict[str, int]:

@@ -111,7 +111,8 @@ class AuctionShareScheduler:
 
     The ready queue is the bid heap; agents enter when runnable and leave
     when they yield.  ``run_slice`` performs one auction round, charges
-    the winner, and advances reservation bookkeeping.
+    the winner, and advances reservation bookkeeping; ``run_rounds``
+    holds a run of full-length rounds in which nothing else happens.
 
     The winner pays at a rate of its own bid under FIRST_PRICE and of the
     runner-up's bid (0 when it bids alone) under SECOND_PRICE, prorated
@@ -196,14 +197,12 @@ class AuctionShareScheduler:
             self.price_stats.observe(top[1] if top is not None else 0.0)
         elif top is not None:
             winner_id = top[0]
-            # Called in either price mode, so the heap's operation count
-            # does not depend on it.
-            runner_up = heap.second()
             if not 0 < elapsed <= length:
                 raise InvalidElapsedError(
                     f"elapsed {elapsed} outside (0, {length}]")
             account = self.accounts[winner_id]
             if config.price_mode is _SECOND_PRICE:
+                runner_up = heap.second()
                 rate = runner_up[1] if runner_up is not None else 0.0
             else:
                 rate = compute_bid(account)
@@ -226,3 +225,77 @@ class AuctionShareScheduler:
             self.reservations = [r for r in reservations if r.active()]
         self.slice_index += 1
         return result
+
+    def run_rounds(self, n: int) -> tuple[list, list[float]]:
+        """Hold ``n`` full-length rounds; return the winners and their
+        payments, in round order.
+
+        Each round is bit for bit what ``run_slice()`` would do.  Between
+        rounds only the winner's balance and bid move, so the rounds run
+        on local copies of the bidders, and the heap is re-keyed and the
+        clearing prices observed once, after the last round.  Needs a
+        non-empty queue and no reservations.
+        """
+        heap = self.heap
+        if n < 1 or not heap or self.reservations:
+            raise ValueError("run_rounds needs n >= 1, a queued bidder and "
+                             "no reservations")
+        ids, bids = heap.entries()
+        accounts = [self.accounts[agent_id] for agent_id in ids]
+        for account in accounts:
+            if account.requested_cpu_seconds <= 0:
+                compute_bid(account)  # raises, before any charge
+        balances = [account.balance for account in accounts]
+        requests = [account.requested_cpu_seconds for account in accounts]
+        queued = bids[:]
+        second_price = self.config.price_mode is _SECOND_PRICE
+        others = range(1, len(ids))
+        winners, payments = [], []
+        win, pay = winners.append, payments.append
+        left = n
+        while left:
+            # The highest (bid, lowest id) wins, as at the top of the heap;
+            # the runner-up is the best of the rest.
+            top, top_bid, top_id = 0, bids[0], ids[0]
+            up_bid = up_id = None
+            for j in others:
+                bid, agent_id = bids[j], ids[j]
+                if bid > top_bid if bid != top_bid else agent_id < top_id:
+                    up_bid, up_id = top_bid, top_id
+                    top, top_bid, top_id = j, bid, agent_id
+                elif up_bid is None or (bid > up_bid if bid != up_bid
+                                        else agent_id < up_id):
+                    up_bid, up_id = bid, agent_id
+            balance, requested = balances[top], requests[top]
+            # Only the winner's bid moves, so it keeps winning for as long
+            # as it still outranks the runner-up.
+            while True:
+                if second_price:
+                    rate = up_bid if up_bid is not None else 0.0
+                else:
+                    rate = balance / requested
+                # A full slice: the prorating fraction is 1.0, so the
+                # payment and the clearing price are the rate itself.
+                payment = rate
+                if balance < payment:
+                    payment = balance
+                balance -= payment
+                top_bid = balance / requested
+                win(top_id)
+                pay(payment)
+                left -= 1
+                if not left or up_bid is not None and not (
+                        top_bid > up_bid if top_bid != up_bid
+                        else top_id < up_id):
+                    break
+            balances[top] = balance
+            bids[top] = top_bid
+
+        for account, balance in zip(accounts, balances):
+            account.balance = balance
+        for agent_id, before, bid in zip(ids, queued, bids):
+            if bid != before:
+                heap.update(agent_id, bid)
+        self.price_stats.observe_many(payments)
+        self.slice_index += n
+        return winners, payments

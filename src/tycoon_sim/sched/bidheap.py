@@ -104,6 +104,11 @@ class BidHeap:
             return None
         return self._ids[0], self._bids[0]
 
+    def entries(self) -> tuple[list, list[float]]:
+        """Copies of the queued ids and of their bids, position for
+        position, in no particular order."""
+        return list(self._ids), list(self._bids)
+
     def second(self):
         """(agent_id, bid) of the runner-up, or None.
 

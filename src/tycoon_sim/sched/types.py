@@ -110,6 +110,13 @@ class PriceStats:
         if len(unfolded) == PRICE_BUFFER:
             self._fold()
 
+    def observe_many(self, prices: list[float]) -> None:
+        """Append ``prices`` in order, as one ``observe`` call each would."""
+        unfolded = self._unfolded
+        unfolded.extend(prices)
+        if len(unfolded) >= PRICE_BUFFER:
+            self._fold()
+
     def _fold(self) -> None:
         window, size = self._window, self.window_size
         shift, total, sumsq = self._shift, self._sum, self._sumsq

@@ -265,12 +265,23 @@ def price_streams(draw):
 @given(price_streams(), st.integers(1, 50))
 def test_buffered_price_stats_read_as_if_folded_at_once(stream, window):
     lazy, eager = PriceStats(window_size=window), EagerPriceStats(window)
+    # One observe_many per run of prices between two reads, and one for
+    # the whole stream.
+    bulk, whole = PriceStats(window_size=window), PriceStats(window_size=window)
+    run = []
     for price in stream + [None]:
         if price is None:
-            assert (len(lazy), lazy.mean, lazy.stddev) == eager.read()
+            bulk.observe_many(run)
+            run = []
+            read = eager.read()
+            assert (len(lazy), lazy.mean, lazy.stddev) == read
+            assert (len(bulk), bulk.mean, bulk.stddev) == read
         else:
             lazy.observe(price)
             eager.observe(price)
+            run.append(price)
+    whole.observe_many([price for price in stream if price is not None])
+    assert (len(whole), whole.mean, whole.stddev) == eager.read()
 
 
 def test_price_stats_small_windows():
@@ -448,3 +459,98 @@ def test_duplicate_agent_rejected():
     sched.add_agent(account(0, 1.0))
     with pytest.raises(InvalidAccountError):
         sched.add_agent(account(0, 2.0))
+
+
+# -- batched rounds -----------------------------------------------------------
+
+
+def bits(x):
+    return x.hex() if isinstance(x, float) else x
+
+
+def scheduler_state(sched):
+    """Everything a round reads or writes, floats compared bit for bit."""
+    queued = sorted(zip(*sched.heap.entries()))
+    stats = sched.price_stats
+    return ([(agent_id, bits(a.balance))
+             for agent_id, a in sched.accounts.items()],
+            [(agent_id, bits(bid)) for agent_id, bid in queued],
+            tuple(map(bits, sched.heap.peek())), sched.slice_index,
+            (len(stats), bits(stats.mean), bits(stats.stddev)))
+
+
+@st.composite
+def round_runs(draw):
+    """Bidders as (id, balance, request, runnable, stale balance), with
+    zero balances, equal bids and bids above the balance, plus rounds run
+    before and the rounds to batch."""
+    balances = st.one_of(st.sampled_from([0.0, 1.0, 2.5, 40.0]),
+                         st.floats(0.0, 1e3))
+    requests = st.one_of(st.sampled_from([0.5, 1.0, 10.0, 1500.0]),
+                         st.floats(0.01, 2e3))
+    m = draw(st.integers(1, 8))
+    ids = draw(st.permutations(range(m)))
+    bidders = [(agent_id, draw(balances), draw(requests),
+                agent_id == ids[0] or draw(st.booleans()),
+                draw(st.none() | balances))
+               for agent_id in ids]
+    return bidders, draw(st.integers(0, 3)), draw(st.integers(1, 300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([FIRST, SECOND]), round_runs())
+def test_batched_rounds_match_one_slice_at_a_time(config, run):
+    bidders, before, n = run
+    twins = []
+    for _ in range(2):
+        sched = AuctionShareScheduler(config)
+        for agent_id, balance, requested, runnable, stale in bidders:
+            acct = account(agent_id, balance, requested)
+            sched.add_agent(acct, runnable)
+            if stale is not None:
+                # A balance moved behind the scheduler's back: rounds rank
+                # by the queued bid but charge from the balance.
+                acct.balance = stale
+        for _ in range(before):
+            sched.run_slice()
+        twins.append(sched)
+    batched, stepped = twins
+    winners, payments = batched.run_rounds(n)
+    results = [stepped.run_slice() for _ in range(n)]
+    assert winners == [r.winner for r in results]
+    assert list(map(bits, payments)) == [bits(r.payment) for r in results]
+    assert scheduler_state(batched) == scheduler_state(stepped)
+
+
+def test_batched_rounds_reject_a_bidder_without_request_before_any_charge():
+    for config in (FIRST, SECOND):
+        scheds = []
+        for _ in range(2):
+            sched = AuctionShareScheduler(config)
+            for acct in (account(0, 1.0, 0.5), account(1, 5.0),
+                         account(2, 3.0)):
+                sched.add_agent(acct)
+            sched.accounts[1].requested_cpu_seconds = 0.0
+            scheds.append(sched)
+        batched, stepped = scheds
+        with pytest.raises(InvalidAccountError):
+            stepped.run_slice()
+        with pytest.raises(InvalidAccountError):
+            batched.run_rounds(5)
+        assert [a.balance for a in batched.accounts.values()] == [1.0, 5.0,
+                                                                  3.0]
+        assert (batched.slice_index, len(batched.price_stats)) == (0, 0)
+
+
+def test_batched_rounds_need_a_bidder_and_no_reservation():
+    sched = AuctionShareScheduler(FIRST)
+    with pytest.raises(ValueError):
+        sched.run_rounds(3)
+    sched.add_agent(account(0, 10.0))
+    with pytest.raises(ValueError):
+        sched.run_rounds(0)
+    sched.reservations.append(Reservation(agent_id=0, fraction=0.5,
+                                          period=10, quoted_price=1.0))
+    with pytest.raises(ValueError):
+        sched.run_rounds(3)
+    assert (sched.slice_index, sched.accounts[0].balance) == (0, 10.0)

@@ -1,12 +1,15 @@
 """End-to-end harness scenarios: conservation, replacement, resilience."""
 
 import dataclasses
+import hashlib
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tycoon_sim import cli
 from tycoon_sim.errors import ConfigError
 from tycoon_sim.harness.bank import MICRO, PolicyKind, credits_to_micro
 from tycoon_sim.harness.messages import MessageKind
@@ -327,7 +330,9 @@ def test_config_rejects_nonsense():
 # one slice at a time; stepping from event to event must reproduce them
 # exactly.  Per config: each parent's (work_done, funded, reclaimed),
 # each host's (revenue, utilization, slices_run), the replacements,
-# (messages_sent, messages_dropped) and unsettled_micro.
+# (messages_sent, messages_dropped) and unsettled_micro.  Last, each
+# host's count of auction rounds held (its scheduler's slice_index), as
+# the harness counted them when it held every round through run_slice.
 PINNED_HARNESS = {
     "lossy": (
         dict(num_hosts=8, duration=25.0, rng_seed=3,
@@ -352,7 +357,8 @@ PINNED_HARNESS = {
          (15.01, "parent:4", "host:4", "host:5", "timeout"),
          (20.01, "parent:2", "host:4", "host:5", "timeout"),
          (20.01, "parent:3", "host:4", "host:7", "timeout")],
-        (450, 18), 37755),
+        (450, 18), 37755,
+        [2494, 2494, 794, 2494, 1194, 499, 2494, 0]),
     "open_loop": (
         dict(num_hosts=3, duration=20.0, rng_seed=5,
              policy_kind=PolicyKind.OPEN_LOOP,
@@ -361,7 +367,8 @@ PINNED_HARNESS = {
         [(0.014877, 0.247, 494), (0.069928, 0.997, 1994),
          (0.227988, 0.996, 1992)],
         [],
-        (108, 11), 55051),
+        (108, 11), 55051,
+        [494, 1994, 1992]),
     # Deliveries at 0.015 past a boundary, and a replacement activated
     # 4.995 s after its move, fall between slice boundaries.
     "off_grid": (
@@ -375,7 +382,8 @@ PINNED_HARNESS = {
         [(0.441956, 0.9976, 2494), (0.121245, 0.3988, 997),
          (0.121588, 0.3996, 999), (0.28218, 0.9976, 2494)],
         [(10.01, "parent:0", "host:1", "host:2", "slow")],
-        (206, 0), 0),
+        (206, 0), 0,
+        [2494, 997, 999, 2494]),
     "kill": (
         dict(num_hosts=4, duration=25.0, rng_seed=11,
              parents=(job(num_hosts=1), job(num_hosts=1), job(num_hosts=1)),
@@ -388,15 +396,17 @@ PINNED_HARNESS = {
          (0.545721, 1.0, 2500)],
         [(15.01, "parent:0", "host:0", "host:2", "timeout"),
          (15.01, "parent:1", "host:0", "host:3", "timeout")],
-        (139, 0), 27113),
+        (139, 0), 27113,
+        [701, 0, 799, 2500]),
 }
 
 
 @pytest.mark.parametrize("name", PINNED_HARNESS)
 def test_harness_runs_match_pinned_values(name):
-    overrides, parents, hosts, replacements, messages, unsettled = \
+    overrides, parents, hosts, replacements, messages, unsettled, rounds = \
         PINNED_HARNESS[name]
-    report = run_harness_scenario(ScenarioConfig(**overrides))
+    sim = HarnessSim(ScenarioConfig(**overrides))
+    report = sim.run()
     assert [(p["work_done"], p["funded_credits"], p["reclaimed_credits"])
             for p in report.per_parent.values()] == parents
     assert [(h["revenue_credits"], h["utilization"], h["slices_run"])
@@ -404,3 +414,28 @@ def test_harness_runs_match_pinned_values(name):
     assert report.replacements == replacements
     assert (report.messages_sent, report.messages_dropped) == messages
     assert report.unsettled_micro == unsettled
+    assert [host.sched.slice_index for host in sim.hosts] == rounds
+
+
+# sha256 of each table one run of the benchmark's cluster-lossy config
+# writes at seed 1001.  Its 30 hosts hold event-free stretches of up to
+# 198 rounds with up to 6 bidders, where the configs pinned above have
+# at most 8 hosts and short stretches.
+LOSSY_CONFIG = (Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+                / "cluster-lossy.json")
+LOSSY_1001_DIGESTS = {
+    "harness_users.csv":
+        "d9a70c96c1ecb7f7d8b7c587ef255ea7b8dc9354ae3e82f559784e3172321e26",
+    "harness_hosts.csv":
+        "0dcaa23c907b0a2622bc0390d31621bc776455e318d62e49043019a2d5b3ebe2",
+    "harness_events.csv":
+        "6ae09c0e72f69840bae1443b5b6fc848893faca341718ecf6764f45869ecbdaa",
+}
+
+
+def test_cluster_lossy_tables_match_pinned_digests(tmp_path):
+    assert cli.main(["run", "--experiment", "harness", "--config",
+                     str(LOSSY_CONFIG), "--seed", "1001",
+                     "--out", str(tmp_path)]) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in LOSSY_1001_DIGESTS} == LOSSY_1001_DIGESTS

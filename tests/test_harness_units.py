@@ -415,8 +415,9 @@ def test_seats_due_inside_a_window_enter_the_heap_on_their_slice():
 def test_idle_host_counts_its_slices_and_holds_no_round():
     sim, host, pushed = one_host()
     rounds = []
-    run_slice = host.sched.run_slice
+    run_slice, run_rounds = host.sched.run_slice, host.sched.run_rounds
     host.sched.run_slice = lambda: rounds.append(1) or run_slice()
+    host.sched.run_rounds = lambda n: rounds.append(n) or run_rounds(n)
     host.run_slices(0, 60)
     assert host.slices_alive == 60
     assert rounds == []

@@ -40,11 +40,6 @@ class Message(NamedTuple):
     payload: dict
 
 
-# Drop coins are drawn from the generator this many at a time; a block
-# yields the same doubles as one random() call per send.
-COIN_BLOCK = 256
-
-
 class Network:
     """Priority-queue message fabric, optional latency (>= 0) and loss (< 1).
 
@@ -59,8 +54,6 @@ class Network:
         self.latency = latency
         self.drop_probability = drop_probability
         self._rng = np.random.default_rng(seed)
-        self._coins: list[float] = []
-        self._next_coin = 0
         self._queue: list[Message] = []
         self._seq_by_sender = {}
         self._handlers = {}
@@ -77,15 +70,9 @@ class Network:
     def send(self, now: float, sender: str, recipient: str,
              kind: MessageKind, payload: dict | None = None) -> None:
         self.sent += 1
-        if self.drop_probability:
-            coins, i = self._coins, self._next_coin
-            if i == len(coins):
-                coins = self._coins = self._rng.random(COIN_BLOCK).tolist()
-                i = 0
-            self._next_coin = i + 1
-            if coins[i] < self.drop_probability:
-                self.dropped += 1
-                return
+        if self.drop_probability and self._rng.random() < self.drop_probability:
+            self.dropped += 1
+            return
         seq = self._seq_by_sender.get(sender, 0)
         self._seq_by_sender[sender] = seq + 1
         heapq.heappush(self._queue, Message(now + self.latency, sender, seq,

@@ -35,11 +35,6 @@ from .bank import (MICRO, BankLedger, FundingPolicy, PolicyKind,
 from .messages import MessageKind, Network
 from .sls import ServiceLocator
 
-# Message kinds read on every slice or settlement; a global is cheaper
-# than a member lookup.
-_TRANSFER = MessageKind.TRANSFER
-_FUND_AUCTIONEER = MessageKind.FUND_AUCTIONEER
-
 
 def _first_slice_at(t: float, dt: float, limit: int) -> int:
     """The first slice ``j`` with ``j * dt >= t``, or ``limit`` if none
@@ -117,6 +112,11 @@ class ScenarioConfig:
                      "funding_interval"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name}: must be > 0")
+        # run() rounds each of these to a whole number of slices.
+        for name in ("duration", "advertise_interval", "monitor_interval",
+                     "funding_interval"):
+            if not math.isfinite(getattr(self, name) / self.timeslice_length):
+                raise ConfigError(f"{name}: not a finite number of slices")
         for name in ("message_latency", "migration_overhead",
                      "open_loop_income", "admin_pool"):
             if getattr(self, name) < 0:
@@ -216,7 +216,7 @@ class _HostNode:
         kind, p = msg.kind, msg.payload
         if kind is MessageKind.SPAWN_CHILD:
             self._ensure_child(p["child_key"]).activate_at = p["activate_at"]
-        elif kind is _FUND_AUCTIONEER:
+        elif kind is MessageKind.FUND_AUCTIONEER:
             if p["child_key"] in self._killed:
                 # Funding raced a kill; the credits stay parked in the
                 # escrow account, where the close still collects them.
@@ -319,7 +319,7 @@ class _HostNode:
         """
         if self.alive and (self.children or self._killed):
             self.sim.network.send(
-                self.sim.now, self.host_id, "bank", _TRANSFER,
+                self.sim.now, self.host_id, "bank", MessageKind.TRANSFER,
                 {"to": self.provider_account, "cumulative": self.metered(),
                  "close": list(self._killed)})
 
@@ -497,7 +497,7 @@ class _BankNode:
         p = msg.payload
         ledger = self.sim.ledger
         kind = msg.kind
-        if kind is _FUND_AUCTIONEER:
+        if kind is MessageKind.FUND_AUCTIONEER:
             key = p["child_key"]
             escrow = _escrow_account(key)
             # Test the ledger, not self.escrows: a close may already have
@@ -515,7 +515,7 @@ class _BankNode:
             self.sim.network.send(self.sim.now, "bank", p["host"],
                                   MessageKind.FUND_AUCTIONEER,
                                   {"child_key": key, "amount": p["amount"]})
-        elif kind is _TRANSFER:
+        elif kind is MessageKind.TRANSFER:
             # Settlements first, so a host's close applies its final
             # spend before the sweep.
             for key, total in p.get("cumulative", {}).items():

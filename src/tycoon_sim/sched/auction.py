@@ -180,6 +180,13 @@ class AuctionShareScheduler:
     # -- the auction round ----------------------------------------------
 
     def run_slice(self, elapsed: float | None = None) -> SliceResult:
+        """Hold one auction round; return who ran and what it paid.
+
+        A pending reservation takes the slice before the spot market.  Else
+        the top bidder is charged for ``elapsed`` seconds (default: all),
+        which must lie in (0, timeslice_length].  An empty queue returns
+        ``SliceResult(None, 0.0)``.  Each call advances ``slice_index``.
+        """
         config = self.config
         length = config.timeslice_length
         if elapsed is None:

@@ -69,24 +69,14 @@ class Reservation:
         return self.active() and self.slices_won < target
 
 
-# Clearing prices wait in a buffer of this many before they are folded
-# into a PriceStats window; a read folds what is waiting at once.
-PRICE_BUFFER = 128
-
-
 class PriceStats:
     """Sliding window of recent clearing prices.
 
-    Keeps running sums so mean and sample standard deviation are O(1) to
-    read.  The stddev is 0.0 while fewer than two prices are retained.
-    The sums are of each price minus the first one observed: raw sums of
-    squares near 1e6 cancel to a few digits in sumsq - sum**2 / n, while
-    the shifted ones stay the size of the spread.
-
-    Most windows are written on every slice and seldom read, so prices
-    are buffered and folded in one at a time, in the order observed.
-    The fold does what observing each price directly would, so every
-    read is bit for bit the same.
+    Each observed price is folded into running sums at once, so mean and
+    sample stddev (0.0 below two prices) are O(1) to read.  The sums are
+    of price minus the first price observed: raw sums of squares near 1e6
+    cancel to a few digits in sumsq - sum**2 / n; shifted ones stay the
+    size of the spread.
     """
 
     def __init__(self, window_size: int = 1000):
@@ -97,30 +87,19 @@ class PriceStats:
         self._window: deque[float] = deque()  # price - self._shift
         self._sum = 0.0
         self._sumsq = 0.0
-        self._unfolded: list[float] = []
 
     def __len__(self) -> int:
-        self._fold()
         return len(self._window)
 
     def observe(self, price: float) -> None:
-        """Append a clearing price, evicting the oldest beyond the window."""
-        unfolded = self._unfolded
-        unfolded.append(price)
-        if len(unfolded) == PRICE_BUFFER:
-            self._fold()
+        """Append one clearing price."""
+        self.observe_many([price])
 
     def observe_many(self, prices: list[float]) -> None:
-        """Append ``prices`` in order, as one ``observe`` call each would."""
-        unfolded = self._unfolded
-        unfolded.extend(prices)
-        if len(unfolded) >= PRICE_BUFFER:
-            self._fold()
-
-    def _fold(self) -> None:
+        """Append ``prices`` in order; the window keeps the newest."""
         window, size = self._window, self.window_size
         shift, total, sumsq = self._shift, self._sum, self._sumsq
-        for price in self._unfolded:
+        for price in prices:
             if len(window) == size:
                 old = window.popleft()
                 total -= old
@@ -132,18 +111,15 @@ class PriceStats:
             total += delta
             sumsq += delta * delta
         self._shift, self._sum, self._sumsq = shift, total, sumsq
-        self._unfolded.clear()
 
     @property
     def mean(self) -> float:
-        self._fold()
         if not self._window:
             return 0.0
         return self._shift + self._sum / len(self._window)
 
     @property
     def stddev(self) -> float:
-        self._fold()
         n = len(self._window)
         if n < 2:
             return 0.0

@@ -25,7 +25,6 @@ from tycoon_sim.sched.auction import (
     reservation_quote,
 )
 from tycoon_sim.sched.types import (
-    PRICE_BUFFER,
     AgentAccount,
     PriceMode,
     PriceStats,
@@ -217,7 +216,7 @@ def test_price_stats_stay_exact_far_from_zero():
 
 
 class EagerPriceStats:
-    """PriceStats folding each price in as it is observed."""
+    """The same fold as PriceStats, written out once more as a reference."""
 
     def __init__(self, window_size):
         self.window_size = window_size
@@ -250,21 +249,23 @@ class EagerPriceStats:
 
 @st.composite
 def price_streams(draw):
-    """Prices around one level, near zero or far from it, with reads
-    (None) at random points; long enough to fold the buffer more than
-    once."""
+    """A window size, then at most 3 * window + 2 prices around one
+    level, near zero or far from it, with reads (None) at random points,
+    so a stream can wrap the window more than once."""
+    window = draw(st.integers(1, 50))
     level = draw(st.sampled_from([0.0, 1e-3, 5.0, 1e6, -2e8]))
     spread = draw(st.sampled_from([1e-6, 0.3, 50.0]))
     prices = st.floats(-1.0, 1.0).map(lambda u: level + u * spread)
-    return draw(st.lists(st.one_of(prices, prices, prices, st.none()),
-                         min_size=PRICE_BUFFER // 2,
-                         max_size=3 * PRICE_BUFFER))
+    stream = draw(st.lists(st.one_of(prices, prices, prices, st.none()),
+                           max_size=3 * window + 2))
+    return window, stream
 
 
 @settings(max_examples=150, deadline=None)
-@given(price_streams(), st.integers(1, 50))
-def test_buffered_price_stats_read_as_if_folded_at_once(stream, window):
-    lazy, eager = PriceStats(window_size=window), EagerPriceStats(window)
+@given(price_streams())
+def test_price_stats_read_as_the_reference_fold(case):
+    window, stream = case
+    single, eager = PriceStats(window_size=window), EagerPriceStats(window)
     # One observe_many per run of prices between two reads, and one for
     # the whole stream.
     bulk, whole = PriceStats(window_size=window), PriceStats(window_size=window)
@@ -274,10 +275,10 @@ def test_buffered_price_stats_read_as_if_folded_at_once(stream, window):
             bulk.observe_many(run)
             run = []
             read = eager.read()
-            assert (len(lazy), lazy.mean, lazy.stddev) == read
+            assert (len(single), single.mean, single.stddev) == read
             assert (len(bulk), bulk.mean, bulk.stddev) == read
         else:
-            lazy.observe(price)
+            single.observe(price)
             eager.observe(price)
             run.append(price)
     whole.observe_many([price for price in stream if price is not None])

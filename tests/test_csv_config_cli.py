@@ -308,6 +308,16 @@ BAD_DOCUMENTS = [
      {"harness": {"num_hosts": 1, "parents": [{"num_hosts": 2}]}}),
     ("host.web.service_demand", {"host": {"timeslice_length": 1e-300}}),
     ("host.web.service_demand", {"host": {"web": {"service_demand": 0.02}}}),
+    # Slice counts that overflow a float.  The ids quote the message, which
+    # keeps them apart from the other probes of the same fields.
+    ("harness.duration: not a finite number of slices",
+     {"harness": {"duration": 1e300, "timeslice_length": 1e-300}}),
+    ("harness.advertise_interval: not a finite number of slices",
+     {"harness": {"advertise_interval": 1e300, "timeslice_length": 1e-300}}),
+    ("harness.monitor_interval: not a finite number of slices",
+     {"harness": {"monitor_interval": 1e300, "timeslice_length": 1e-300}}),
+    ("harness.funding_interval: not a finite number of slices",
+     {"harness": {"funding_interval": 1e300, "timeslice_length": 1e-300}}),
 ]
 
 

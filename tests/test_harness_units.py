@@ -307,8 +307,8 @@ def test_drops_are_seeded_and_counted():
 
 @pytest.mark.parametrize("seed", [3, 17, 2024])
 def test_drop_stream_is_one_coin_per_send(seed):
-    # 1,000 sends cross several coin blocks; send i is dropped exactly
-    # when the i-th draw of the seed's generator falls below p.
+    # Send i is dropped exactly when the i-th draw of the seed's
+    # generator falls below p.
     p = 0.3
     net = Network(drop_probability=p, seed=seed)
     delivered = []

@@ -238,6 +238,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"tycoon-sim: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"tycoon-sim: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ import numpy as np
 from ..errors import ConfigError, InsufficientBalanceError
 from ..sched.auction import AuctionShareScheduler
 from ..sched.types import AgentAccount, PriceMode, SchedulerConfig
+from ..slices import _first_slice_at
 from .agents import (ChildAgentState, ParentJob, parent_budget,
                      parent_monitor_and_replace)
 from .bank import (MICRO, BankLedger, FundingPolicy, PolicyKind,
@@ -34,22 +35,6 @@ from .bank import (MICRO, BankLedger, FundingPolicy, PolicyKind,
                    micro_to_credits)
 from .messages import MessageKind, Network
 from .sls import ServiceLocator
-
-
-def _first_slice_at(t: float, dt: float, limit: int) -> int:
-    """The first slice ``j`` with ``j * dt >= t``, or ``limit`` if none
-    comes before it: the slice on which ``now = j * dt`` first passes the
-    float test that pumps a message, kills a host or activates a seat.
-    The steps correct ``ceil`` where ``t / dt`` rounds across an integer.
-    """
-    if not t <= (limit - 1) * dt:
-        return limit
-    j = max(0, math.ceil(t / dt))
-    while j > 0 and (j - 1) * dt >= t:
-        j -= 1
-    while j * dt < t:
-        j += 1
-    return j
 
 
 def _escrow_account(child_key: str) -> str:

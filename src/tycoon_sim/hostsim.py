@@ -16,10 +16,20 @@ processes split the remainder by weight.
 Under the auction scheduler, agents receive credits at their income
 rate, either on a fixed per-agent schedule or from independent Poisson
 arrival processes; see ``FundingMode``.
+
+The run advances from event to event.  A deposit lands on the first
+slice ``j`` with ``j * dt >= t``; a yielding web server leaves the ready
+set when it is served and rejoins on the slice after its next request
+coin.  Between two events both schedulers hold their rounds in one
+``run_rounds`` call, and the web queue books the window from its
+winners.  A queued yielding server may win and go idle on any slice, so
+its windows are one slice long and go through ``run_slice`` or
+``select_winner``.  Every window is bit for bit its slices run singly.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -28,6 +38,7 @@ import numpy as np
 from .errors import ConfigError, NoRequestsError
 from .sched import auction, proportional
 from .sched.types import AgentAccount, PriceMode, PSProcess, SchedulerConfig
+from .slices import _first_slice_at
 
 
 class SchedulerKind(Enum):
@@ -106,6 +117,13 @@ class HostSimConfig:
             raise ConfigError(
                 "weights: need a web process plus at least one batch "
                 "process, all with positive weight")
+        if (self.funding_mode is FundingMode.PERIODIC
+                and self.funding_mean_interval / max(self.weights)
+                < self.timeslice_length):
+            # The richest agent is topped up every interval / weight.
+            raise ConfigError(
+                "funding_mean_interval: more than one deposit per agent per "
+                "slice (interval / largest weight < timeslice_length)")
         if not 0.0 <= self.web.request_probability <= 1.0:
             raise ConfigError("web.request_probability: must be in [0, 1]")
         if self.web.service_demand <= 0:
@@ -169,32 +187,50 @@ def measure_latency(records: list[RequestRecord]) -> float:
 
 
 class _WebQueue:
-    """Request state for the web process.
+    """Request state for the web process, booked window by window.
 
     The client is closed-loop: it keeps a single request outstanding and
     only thinks about the next one after the response, so the request
-    coin is flipped per slice while the server is idle.
+    coin of a slice counts only while the server is idle and not on the
+    slice it served one.  At most one request is ever pending.
     """
 
-    def __init__(self):
-        self.pending: list[RequestRecord] = []
+    def __init__(self, arrivals: np.ndarray, offsets: np.ndarray, dt: float):
+        self.coins: list[int] = np.flatnonzero(arrivals).tolist()
+        self.offsets = offsets
+        self.dt = dt
+        self.pending: RequestRecord | None = None
         self.all: list[RequestRecord] = []
-        self.served_this_slice = False
+        self.ran: list = []  # the winner of every slice so far
 
-    def maybe_arrive(self, coin: bool, record_factory) -> None:
-        if coin and not self.pending and not self.served_this_slice:
-            record = record_factory()
-            self.pending.append(record)
-            self.all.append(record)
-        self.served_this_slice = False
+    def next_coin(self, k: int) -> int:
+        """The first slice from ``k`` on whose coin comes up, or
+        ``len(offsets)`` if none does."""
+        i = bisect_left(self.coins, k)
+        return self.coins[i] if i < len(self.coins) else len(self.offsets)
 
-    def serve_head(self, slice_start: float) -> None:
-        head = self.pending.pop(0)
-        head.service_start_time = slice_start
-        self.served_this_slice = True
-
-    def __bool__(self) -> bool:
-        return bool(self.pending)
+    def book(self, winners: list) -> None:
+        """Account the window of ``winners`` that follows the slices run."""
+        ran, dt = self.ran, self.dt
+        k = len(ran)
+        ran += winners
+        end = len(ran)
+        while k < end:
+            if self.pending is not None:
+                try:
+                    k = ran.index(0, k, end)
+                except ValueError:
+                    return
+                self.pending.service_start_time = k * dt
+                self.pending = None
+            else:
+                k = self.next_coin(k)
+                if k >= end:
+                    return
+                self.pending = RequestRecord(
+                    arrival_time=(k + self.offsets[k]) * dt)
+                self.all.append(self.pending)
+            k += 1
 
 
 def _intended_shares(config: HostSimConfig, web_demand_share: float) -> dict:
@@ -230,17 +266,23 @@ def run_host_sim(config: HostSimConfig) -> HostMetrics:
     arrivals = rng_arrivals.random(n) < config.web.request_probability
     offsets = rng_offsets.random(n)
 
-    queue = _WebQueue()
-    slice_counts = {i: 0 for i in range(len(config.weights))}
-
+    queue = _WebQueue(arrivals, offsets, dt)
     if config.scheduler is SchedulerKind.PROPORTIONAL_SHARE:
-        _run_ps(config, arrivals, offsets, queue, slice_counts)
+        _run_ps(config, queue)
     else:
-        _run_auction(config, arrivals, offsets, seeds[2], queue, slice_counts)
+        _run_auction(config, seeds[2], queue)
 
     # Warm-up slices settle scheduler state and are excluded from stats.
-    lo, hi = config.warmup_slices, n
-    in_window = [r for r in queue.all if lo * dt <= r.arrival_time < hi * dt]
+    del queue.ran[:config.warmup_slices]
+    return _host_metrics(config, queue.all, {
+        pid: queue.ran.count(pid) for pid in range(len(config.weights))})
+
+
+def _host_metrics(config, records, slice_counts) -> HostMetrics:
+    """The metrics row, from every request and the post-warm-up slices."""
+    dt = config.timeslice_length
+    lo, hi = config.warmup_slices, config.num_timeslices
+    in_window = [r for r in records if lo * dt <= r.arrival_time < hi * dt]
     served = [r for r in in_window if r.latency is not None]
     try:
         latency = measure_latency(in_window)
@@ -294,7 +336,8 @@ def comparison_rows(base: HostSimConfig | None = None) -> list[tuple[str, HostSi
     ]
 
 
-def _run_ps(config, arrivals, offsets, queue, slice_counts):
+def _run_ps(config, queue):
+    n = config.num_timeslices
     dt = config.timeslice_length
     # Virtual times start one slice ahead (stride style) so the first
     # rounds already interleave by weight instead of by id.
@@ -302,14 +345,16 @@ def _run_ps(config, arrivals, offsets, queue, slice_counts):
         PSProcess(pid, w, virtual_time=dt / w)
         for pid, w in enumerate(config.weights)
     ]
-    web = processes[0]
-    lo = config.warmup_slices
-    web_was_runnable = not config.web.yields_cpu
+    web, batch = processes[0], processes[1:]
+    yields = config.web.yields_cpu
+    web_was_runnable = not yields
 
-    for k in range(config.num_timeslices):
-        if config.web.yields_cpu and not queue:
-            runnable = processes[1:]
+    k = 0
+    while k < n:
+        if yields and queue.pending is None:
+            runnable = batch
             web_was_runnable = False
+            end = min(n, queue.next_coin(k) + 1)
         else:
             runnable = processes
             if not web_was_runnable:
@@ -318,28 +363,29 @@ def _run_ps(config, arrivals, offsets, queue, slice_counts):
                 # round time sits one aggregate step below the minimum
                 # pass value, which lets a heavy process preempt at the
                 # next boundary while a light one waits out the round.
-                batch = processes[1:]
                 floor = min(p.virtual_time for p in batch)
                 round_vt = floor - dt / sum(p.weight for p in batch)
                 web.virtual_time = max(web.virtual_time,
                                        round_vt + dt / web.weight)
                 web_was_runnable = True
-        winner = proportional.select_winner(runnable)
-        if winner is web and queue:
-            queue.serve_head(k * dt)
-        proportional.advance(winner, dt)
-        if k >= lo:
-            slice_counts[winner.process_id] += 1
-        queue.maybe_arrive(
-            bool(arrivals[k]),
-            lambda: RequestRecord(arrival_time=(k + offsets[k]) * dt))
+            end = k + 1 if yields else n
+        if end - k == 1:
+            winner = proportional.select_winner(runnable)
+            proportional.advance(winner, dt)
+            winners = [winner.process_id]
+        else:
+            winners = proportional.run_rounds(runnable, end - k, dt)
+        queue.book(winners)
+        k = end
 
 
-def _run_auction(config, arrivals, offsets, funding_seed, queue, slice_counts):
+def _run_auction(config, funding_seed, queue):
+    n = config.num_timeslices
     dt = config.timeslice_length
-    duration = config.num_timeslices * dt
+    duration = n * dt
     interval = config.funding_mean_interval
     slices_per_interval = interval / dt
+    yields = config.web.yields_cpu
 
     sched = auction.AuctionShareScheduler(
         SchedulerConfig(timeslice_length=dt, price_mode=config.price_mode)
@@ -353,9 +399,9 @@ def _run_auction(config, arrivals, offsets, funding_seed, queue, slice_counts):
     start_balance = (
         sum(config.weights) * interval * config.initial_funding_intervals
     )
-    events = {}
+    deposits = []  # (slice, agent, amount); none lands after the last slice
     for pid, rate in enumerate(config.weights):
-        if pid == 0 and config.web.yields_cpu:
+        if pid == 0 and yields:
             wanted_fraction = config.web.request_probability
         else:
             wanted_fraction = 1.0
@@ -365,7 +411,7 @@ def _run_auction(config, arrivals, offsets, funding_seed, queue, slice_counts):
                 balance=start_balance,
                 requested_cpu_seconds=wanted_fraction * slices_per_interval,
             ),
-            runnable=not (pid == 0 and config.web.yields_cpu),
+            runnable=not (pid == 0 and yields),
         )
         if config.funding_mode is FundingMode.PERIODIC:
             # Income rate sets the refill frequency, not the lump size:
@@ -374,34 +420,37 @@ def _run_auction(config, arrivals, offsets, funding_seed, queue, slice_counts):
             # Equal lumps mean every agent's credits are spent against
             # the same clearing-price mix, so shares track incomes.
             period = interval / rate
-            events[pid] = [
+            events = [
                 (j * period, rate * period)
                 for j in range(1, int(duration / period) + 1)
             ]
         else:
-            events[pid] = gen_funding_events(
+            events = gen_funding_events(
                 rate, duration, np.random.default_rng(agent_seeds[pid])
             )
+        for t, amount in events:
+            j = _first_slice_at(t, dt, n)
+            if j < n:
+                deposits.append((j, pid, amount))
+    # A stable sort keeps each slice's deposits in agent order and then in
+    # time order.  The sentinel ends the last window.
+    deposits.sort(key=lambda deposit: deposit[0])
+    deposits.append((n, None, 0.0))
 
-    cursors = {pid: 0 for pid in events}
-    lo = config.warmup_slices
-
-    for k in range(config.num_timeslices):
-        now = k * dt
-        for pid, evs in events.items():
-            i = cursors[pid]
-            while i < len(evs) and evs[i][0] <= now:
-                sched.fund(pid, evs[i][1])
-                i += 1
-            cursors[pid] = i
-
-        if config.web.yields_cpu:
-            sched.set_runnable(0, bool(queue))
-        result = sched.run_slice()
-        if result.winner == 0 and queue:
-            queue.serve_head(now)
-        if result.winner is not None and k >= lo:
-            slice_counts[result.winner] += 1
-        queue.maybe_arrive(
-            bool(arrivals[k]),
-            lambda: RequestRecord(arrival_time=(k + offsets[k]) * dt))
+    k = i = 0
+    while k < n:
+        while deposits[i][0] == k:
+            _, pid, amount = deposits[i]
+            sched.fund(pid, amount)
+            i += 1
+        end = deposits[i][0]
+        if yields:
+            pending = queue.pending is not None
+            sched.set_runnable(0, pending)
+            end = k + 1 if pending else min(end, queue.next_coin(k) + 1)
+        if end - k == 1:
+            winners = [sched.run_slice().winner]
+        else:
+            winners = sched.run_rounds(end - k)[0]
+        queue.book(winners)
+        k = end

@@ -9,6 +9,7 @@ to the lowest process id.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Mapping
 
 from ..errors import UndefinedShareError, UnknownProcessError
@@ -30,6 +31,33 @@ def select_winner(runnable: Iterable[PSProcess]) -> PSProcess | None:
 def advance(process: PSProcess, timeslice_length: float) -> None:
     """Account one slice of service to the process."""
     process.virtual_time += timeslice_length / process.weight
+
+
+def run_rounds(
+    runnable: Iterable[PSProcess], n: int, timeslice_length: float
+) -> list:
+    """Hold ``n`` rounds among a fixed set of runnable processes; return
+    the winners' ids in round order.
+
+    Each round is what ``select_winner`` and then ``advance`` would do:
+    the smallest (virtual time, id) wins and its virtual time grows by
+    ``timeslice_length / weight``.  The rounds run on a local heap of
+    those pairs, and the virtual times are written back after the last.
+    """
+    processes = list(runnable)
+    strides = [timeslice_length / p.weight for p in processes]
+    queue = [(p.virtual_time, p.process_id, i)
+             for i, p in enumerate(processes)]
+    heapq.heapify(queue)
+    winners = []
+    win = winners.append
+    for _ in range(n):
+        vt, pid, i = queue[0]
+        win(pid)
+        heapq.heapreplace(queue, (vt + strides[i], pid, i))
+    for vt, _, i in queue:
+        processes[i].virtual_time = vt
+    return winners
 
 
 def scheduling_error(

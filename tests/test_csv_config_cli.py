@@ -318,6 +318,10 @@ BAD_DOCUMENTS = [
      {"harness": {"monitor_interval": 1e300, "timeslice_length": 1e-300}}),
     ("harness.funding_interval: not a finite number of slices",
      {"harness": {"funding_interval": 1e300, "timeslice_length": 1e-300}}),
+    # `run` once tried to build about 3e300 periodic deposits.
+    ("host.funding_mean_interval: more than one deposit",
+     {"host": {"scheduler": "auction_share", "funding_mean_interval": 1e-300,
+               "num_timeslices": 300}}),
 ]
 
 
@@ -447,6 +451,19 @@ def test_unwritable_output_is_diagnosed(tmp_path, capsys):
                    "--seed", "1", "--out", str(blocker)])
     assert rc == 1
     assert capsys.readouterr().err
+
+
+def test_an_impossible_allocation_exits_1_in_one_line(tmp_path, capsys):
+    # 10**15 slices need 8 PB for one array of draws, more than any
+    # address space holds, so the allocation fails at once.
+    conf = write_json(tmp_path, {"host": {
+        "scheduler": "proportional_share", "num_timeslices": 10**15}})
+    rc = cli.main(["run", "--experiment", "host", "--config", conf,
+                   "--seed", "1", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tycoon-sim: out of memory")
+    assert err.count("\n") == 1
 
 
 def test_harness_run_emits_three_tables_with_audit(tmp_path):

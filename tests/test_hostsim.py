@@ -4,7 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tycoon_sim import hostsim
 from tycoon_sim.errors import ConfigError, NoRequestsError
 from tycoon_sim.hostsim import (
     FundingMode,
@@ -17,6 +20,9 @@ from tycoon_sim.hostsim import (
     measure_latency,
     run_host_sim,
 )
+from tycoon_sim.sched import auction, proportional
+from tycoon_sim.sched.types import (AgentAccount, PriceMode, PSProcess,
+                                    SchedulerConfig)
 
 SMALL = dict(num_timeslices=400, warmup_slices=50)
 
@@ -93,6 +99,8 @@ def test_config_validate_rejects_bad_values():
         dict(timeslice_length=1e-300),
         dict(web_intended_share=0.0),
         dict(funding_mean_interval=0.0),
+        # Weight 4 would be topped up every 7.5 ms, inside one 10 ms slice.
+        dict(funding_mean_interval=0.03),
         dict(initial_funding_intervals=-1.0),
     ]
     for overrides in bad:
@@ -102,6 +110,11 @@ def test_config_validate_rejects_bad_values():
     # A request that takes exactly one slice still fits in it.
     HostSimConfig(timeslice_length=0.02,
                   web=WorkloadSpec(service_demand=0.02)).validate()
+    # One deposit a slice for the richest agent is still allowed, and
+    # Poisson gaps do not depend on the interval.
+    HostSimConfig(funding_mean_interval=0.04).validate()
+    HostSimConfig(funding_mean_interval=0.03,
+                  funding_mode=FundingMode.POISSON).validate()
 
 
 def test_comparison_rows_cover_the_grid():
@@ -248,3 +261,174 @@ def test_host_runs_match_pinned_values(seed):
         m = run_host_sim(cfg)
         assert (m.scheduling_error, m.mean_latency, m.utilization,
                 m.per_process_shares) == PINNED_HOST[seed][label], label
+
+
+# -- event windows against the per-slice loops ----------------------------
+
+
+class PerSliceWebQueue:
+    """The web queue as the per-slice loops below book it."""
+
+    def __init__(self):
+        self.pending = []
+        self.all = []
+        self.served_this_slice = False
+
+    def maybe_arrive(self, coin, record_factory):
+        if coin and not self.pending and not self.served_this_slice:
+            record = record_factory()
+            self.pending.append(record)
+            self.all.append(record)
+        self.served_this_slice = False
+
+    def serve_head(self, slice_start):
+        head = self.pending.pop(0)
+        head.service_start_time = slice_start
+        self.served_this_slice = True
+
+    def __bool__(self):
+        return bool(self.pending)
+
+
+def per_slice_ps(config, arrivals, offsets, queue, slice_counts):
+    dt = config.timeslice_length
+    processes = [
+        PSProcess(pid, w, virtual_time=dt / w)
+        for pid, w in enumerate(config.weights)
+    ]
+    web = processes[0]
+    lo = config.warmup_slices
+    web_was_runnable = not config.web.yields_cpu
+
+    for k in range(config.num_timeslices):
+        if config.web.yields_cpu and not queue:
+            runnable = processes[1:]
+            web_was_runnable = False
+        else:
+            runnable = processes
+            if not web_was_runnable:
+                batch = processes[1:]
+                floor = min(p.virtual_time for p in batch)
+                round_vt = floor - dt / sum(p.weight for p in batch)
+                web.virtual_time = max(web.virtual_time,
+                                       round_vt + dt / web.weight)
+                web_was_runnable = True
+        winner = proportional.select_winner(runnable)
+        if winner is web and queue:
+            queue.serve_head(k * dt)
+        proportional.advance(winner, dt)
+        if k >= lo:
+            slice_counts[winner.process_id] += 1
+        queue.maybe_arrive(
+            bool(arrivals[k]),
+            lambda: RequestRecord(arrival_time=(k + offsets[k]) * dt))
+
+
+def per_slice_auction(config, arrivals, offsets, funding_seed, queue,
+                      slice_counts):
+    dt = config.timeslice_length
+    duration = config.num_timeslices * dt
+    interval = config.funding_mean_interval
+    slices_per_interval = interval / dt
+
+    sched = auction.AuctionShareScheduler(
+        SchedulerConfig(timeslice_length=dt, price_mode=config.price_mode)
+    )
+    agent_seeds = funding_seed.spawn(len(config.weights))
+    start_balance = (
+        sum(config.weights) * interval * config.initial_funding_intervals
+    )
+    events = {}
+    for pid, rate in enumerate(config.weights):
+        if pid == 0 and config.web.yields_cpu:
+            wanted_fraction = config.web.request_probability
+        else:
+            wanted_fraction = 1.0
+        sched.add_agent(
+            AgentAccount(
+                agent_id=pid,
+                balance=start_balance,
+                requested_cpu_seconds=wanted_fraction * slices_per_interval,
+            ),
+            runnable=not (pid == 0 and config.web.yields_cpu),
+        )
+        if config.funding_mode is FundingMode.PERIODIC:
+            period = interval / rate
+            events[pid] = [
+                (j * period, rate * period)
+                for j in range(1, int(duration / period) + 1)
+            ]
+        else:
+            events[pid] = gen_funding_events(
+                rate, duration, np.random.default_rng(agent_seeds[pid])
+            )
+
+    cursors = {pid: 0 for pid in events}
+    lo = config.warmup_slices
+
+    for k in range(config.num_timeslices):
+        now = k * dt
+        for pid, evs in events.items():
+            i = cursors[pid]
+            while i < len(evs) and evs[i][0] <= now:
+                sched.fund(pid, evs[i][1])
+                i += 1
+            cursors[pid] = i
+
+        if config.web.yields_cpu:
+            sched.set_runnable(0, bool(queue))
+        result = sched.run_slice()
+        if result.winner == 0 and queue:
+            queue.serve_head(now)
+        if result.winner is not None and k >= lo:
+            slice_counts[result.winner] += 1
+        queue.maybe_arrive(
+            bool(arrivals[k]),
+            lambda: RequestRecord(arrival_time=(k + offsets[k]) * dt))
+
+
+def per_slice_host_sim(config):
+    """run_host_sim with one scheduler round per slice, kept as the
+    reference the event windows must reproduce."""
+    n = config.num_timeslices
+    seeds = np.random.SeedSequence(config.rng_seed).spawn(3)
+    arrivals = (np.random.default_rng(seeds[0]).random(n)
+                < config.web.request_probability)
+    offsets = np.random.default_rng(seeds[1]).random(n)
+    queue = PerSliceWebQueue()
+    slice_counts = {i: 0 for i in range(len(config.weights))}
+    if config.scheduler is SchedulerKind.PROPORTIONAL_SHARE:
+        per_slice_ps(config, arrivals, offsets, queue, slice_counts)
+    else:
+        per_slice_auction(config, arrivals, offsets, seeds[2], queue,
+                          slice_counts)
+    return hostsim._host_metrics(config, queue.all, slice_counts)
+
+
+@st.composite
+def host_configs(draw):
+    n = draw(st.integers(50, 600))
+    weights = draw(st.lists(st.integers(1, 29), min_size=2, max_size=6))
+    config = HostSimConfig(
+        scheduler=draw(st.sampled_from(SchedulerKind)),
+        num_timeslices=n,
+        weights=tuple(float(w) for w in weights),
+        web=WorkloadSpec(
+            request_probability=draw(
+                st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+            yields_cpu=draw(st.booleans())),
+        warmup_slices=draw(st.integers(0, n - 1)),
+        rng_seed=draw(st.integers(0, 2**32 - 1)),
+        funding_mode=draw(st.sampled_from(FundingMode)),
+        funding_mean_interval=draw(st.sampled_from([1.0, 0.5, 0.35])),
+        # Empty accounts start every bid at 0, a tie among all agents.
+        initial_funding_intervals=draw(st.sampled_from([1.0, 0.0])),
+        price_mode=draw(st.sampled_from(PriceMode)))
+    config.validate()
+    return config
+
+
+@settings(max_examples=150, deadline=None)
+@given(host_configs())
+def test_event_windows_reproduce_the_per_slice_loops(config):
+    assert repr(run_host_sim(config)) == repr(per_slice_host_sim(config))

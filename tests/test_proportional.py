@@ -1,10 +1,13 @@
 """Stride scheduling: hand-traced sequences and long-run share accuracy."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tycoon_sim.errors import UndefinedShareError, UnknownProcessError
 from tycoon_sim.sched.proportional import (
     advance,
+    run_rounds,
     scheduling_error,
     select_winner,
 )
@@ -81,6 +84,40 @@ def test_pairwise_allocation_error_stays_below_one_slice():
                 pair = counts[i] + counts[j]
                 ideal = pair * weights[i] / (weights[i] + weights[j])
                 assert abs(counts[i] - ideal) < 1.0
+
+
+@given(st.lists(st.tuples(st.integers(1, 29),
+                          st.sampled_from([0.0, 0.01, 0.5]) | st.floats(0, 1)),
+                min_size=1, max_size=6),
+       st.permutations(range(6)), st.integers(1, 300))
+def test_run_rounds_is_n_rounds_of_select_and_advance(specs, ids, n):
+    # Virtual times drawn from a few values tie often; the ids are out
+    # of list order, so a tie must go to the lowest id, not the first.
+    def fresh():
+        return [PSProcess(ids[i], float(w), virtual_time=vt)
+                for i, (w, vt) in enumerate(specs)]
+
+    stepped, held = fresh(), fresh()
+    expected = []
+    for _ in range(n):
+        p = select_winner(stepped)
+        advance(p, 0.010)
+        expected.append(p.process_id)
+    assert run_rounds(held, n, 0.010) == expected
+    assert ([p.virtual_time.hex() for p in held]
+            == [p.virtual_time.hex() for p in stepped])
+
+
+def test_run_rounds_breaks_ties_to_the_lowest_id():
+    ps = [PSProcess(3, 1.0), PSProcess(1, 1.0), PSProcess(2, 1.0)]
+    assert run_rounds(ps, 6, 0.010) == [1, 2, 3, 1, 2, 3]
+    assert [p.virtual_time for p in ps] == [0.02, 0.02, 0.02]
+
+
+def test_run_rounds_with_one_runnable_process():
+    lone = PSProcess(7, 4.0, virtual_time=0.5)
+    assert run_rounds([lone], 3, 0.010) == [7, 7, 7]
+    assert lone.virtual_time == 0.5 + 0.0025 + 0.0025 + 0.0025
 
 
 def test_scheduling_error_hand_cases():

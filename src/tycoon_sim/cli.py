@@ -103,30 +103,44 @@ def _run_table1(doc, seeds, out_dir, resolved) -> list[Path]:
     return [path]
 
 
-def _market_point(doc, behavior, interarrival, seeds) -> list:
-    utilities = []
-    for seed in seeds:
-        point = dataclasses.replace(
-            cfg.build_market_config(doc.get("market", {}), seed),
-            behavior=behavior, mean_task_interarrival=interarrival)
-        utilities.append(
-            run_market_sim(point).mean_utility_per_host_per_time_unit)
-    mean, std = _mean_std(utilities)
-    return [interarrival, behavior.value, mean, std, len(seeds)]
+def _market_points(doc, behaviors, interarrivals, seeds) -> list:
+    """One row per (behavior, interarrival) point, behavior-major.
+
+    Runs interarrival -> seed -> behavior, so the behaviors at one
+    (seed, interarrival) run back to back on one task draw.  Each
+    point's utilities are still aggregated in seed order.
+    """
+    utilities = {}  # (behavior index, interarrival index) -> per seed
+    for j, interarrival in enumerate(interarrivals):
+        for seed in seeds:
+            base = dataclasses.replace(
+                cfg.build_market_config(doc.get("market", {}), seed),
+                mean_task_interarrival=interarrival)
+            for i, behavior in enumerate(behaviors):
+                result = run_market_sim(
+                    dataclasses.replace(base, behavior=behavior))
+                utilities.setdefault((i, j), []).append(
+                    result.mean_utility_per_host_per_time_unit)
+    rows = []
+    for i, behavior in enumerate(behaviors):
+        for j, interarrival in enumerate(interarrivals):
+            mean, std = _mean_std(utilities[i, j])
+            rows.append([interarrival, behavior.value, mean, std, len(seeds)])
+    return rows
 
 
 def _run_market(doc, seeds, out_dir, resolved) -> list[Path]:
     base = cfg.build_market_config(doc.get("market", {}))
-    row = _market_point(doc, base.behavior, base.mean_task_interarrival, seeds)
+    rows = _market_points(doc, [base.behavior],
+                          [base.mean_task_interarrival], seeds)
     path = out_dir / "market.csv"
-    emit_csv(path, MARKET_HEADER, [row], resolved)
+    emit_csv(path, MARKET_HEADER, rows, resolved)
     return [path]
 
 
 def _run_figure1(doc, seeds, out_dir, resolved) -> list[Path]:
     interarrivals, behaviors = cfg.sweep_points(doc)
-    rows = [_market_point(doc, behavior, ia, seeds)
-            for behavior in behaviors for ia in interarrivals]
+    rows = _market_points(doc, behaviors, interarrivals, seeds)
     path = out_dir / "figure1.csv"
     emit_csv(path, MARKET_HEADER, rows, resolved)
     return [path]

@@ -28,7 +28,7 @@ from enum import Enum
 from .errors import ConfigError, TycoonError
 from .harness.scenario import ScenarioConfig
 from .hostsim import HostSimConfig
-from .market import Behavior, MarketConfig
+from .market import MAX_EXPECTED_TASKS, Behavior, MarketConfig
 
 __all__ = [
     "Experiment",
@@ -229,9 +229,16 @@ def validate_config(doc: dict) -> None:
     if _value(int, doc.get("repetitions", 1), "repetitions") < 1:
         raise ConfigError("invalid repetitions: must be >= 1")
     build_host_config(doc.get("host", {}))
-    build_market_config(doc.get("market", {}))
+    market = build_market_config(doc.get("market", {}))
     build_harness_config(doc.get("harness", {}))
-    sweep_points(doc)
+    interarrivals, _ = sweep_points(doc)
+    # A sweep point runs the market block at its own interarrival.
+    for i, interarrival in enumerate(interarrivals):
+        if market.draws_too_many(interarrival):
+            raise ConfigError(
+                f"invalid sweep.interarrivals[{i}]: more than "
+                f"{MAX_EXPECTED_TASKS} expected tasks with the market block "
+                "(num_users * duration / interarrival)")
 
 
 def _plain(value):

@@ -46,6 +46,11 @@ def _escrow_account(child_key: str) -> str:
     return f"escrow:{child_key}"
 
 
+#: Longest run a scenario may ask for, in slices: about 11.6 days of
+#: 10 ms slices.
+MAX_SLICES = 100_000_000
+
+
 @dataclass
 class ScenarioConfig:
     num_hosts: int = 3
@@ -102,6 +107,8 @@ class ScenarioConfig:
                      "funding_interval"):
             if not math.isfinite(getattr(self, name) / self.timeslice_length):
                 raise ConfigError(f"{name}: not a finite number of slices")
+        if self.duration / self.timeslice_length > MAX_SLICES:
+            raise ConfigError(f"duration: more than {MAX_SLICES} slices")
         for name in ("message_latency", "migration_overhead",
                      "open_loop_income", "admin_pool"):
             if getattr(self, name) < 0:

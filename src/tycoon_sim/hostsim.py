@@ -228,7 +228,7 @@ class _WebQueue:
                 if k >= end:
                     return
                 self.pending = RequestRecord(
-                    arrival_time=(k + self.offsets[k]) * dt)
+                    arrival_time=float((k + self.offsets[k]) * dt))
                 self.all.append(self.pending)
             k += 1
 
@@ -250,8 +250,9 @@ def _intended_shares(config: HostSimConfig, web_demand_share: float) -> dict:
     shares = {}
     if web_target > 0:
         shares[0] = web_target
-    for i, w in enumerate(batch_weights, start=1):
-        shares[i] = (1.0 - web_target) * w / batch_total
+    if web_target < 1.0:
+        for i, w in enumerate(batch_weights, start=1):
+            shares[i] = (1.0 - web_target) * w / batch_total
     return shares
 
 

@@ -22,6 +22,15 @@ import numpy as np
 from .errors import ExpiredTaskError, InvalidSpecError
 
 
+#: Longest run a config may ask for, in time units: one allocation step
+#: each.
+MAX_DURATION = 1_000_000
+#: Most tasks a run may expect to draw, num_users * duration /
+#: mean_task_interarrival.  The draw makes a handful of generator calls
+#: per task, so this bounds it at seconds.
+MAX_EXPECTED_TASKS = 1_000_000
+
+
 class Behavior(Enum):
     OBEDIENT = "obedient"
     STRATEGIC_NO_MARKET = "strategic_no_market"
@@ -54,6 +63,19 @@ class MarketConfig:
         for name in ("duration", "income_rate", "initial_balance"):
             if getattr(self, name) < 0:
                 raise InvalidSpecError(f"{name}: must be >= 0")
+        if self.duration > MAX_DURATION:
+            raise InvalidSpecError(f"duration: must be <= {MAX_DURATION}")
+        if self.draws_too_many(self.mean_task_interarrival):
+            raise InvalidSpecError(
+                f"mean_task_interarrival: more than {MAX_EXPECTED_TASKS} "
+                "expected tasks (num_users * duration / interarrival)")
+
+    def draws_too_many(self, interarrival: float) -> bool:
+        """Whether a run at ``interarrival`` expects more than
+        MAX_EXPECTED_TASKS tasks.  Compared without the division, which
+        a huge num_users would overflow."""
+        return not (self.num_users * self.duration
+                    <= MAX_EXPECTED_TASKS * interarrival)
 
 
 @dataclass
@@ -70,7 +92,7 @@ def market_budget_weight(balance, value, num_hosts: int, deadline, now: float):
     spends more than the full balance.  Takes scalars, or one array
     element per user.
     """
-    if np.less_equal(deadline, now).any():
+    if np.count_nonzero(np.less_equal(deadline, now)):
         raise ExpiredTaskError("deadline passed, task abandoned")
     if num_hosts < 1:
         raise InvalidSpecError("num_hosts must be >= 1")
@@ -89,12 +111,23 @@ def allocate_host_step(weights, remaining, capacity: float = 1.0):
     rem = np.asarray(remaining, dtype=float)
     if w.shape != rem.shape:
         raise InvalidSpecError("weights and remaining must align")
-    if (w < 0).any() or (rem < 0).any():
-        raise InvalidSpecError("weights and remaining must be nonnegative")
-    grant = np.zeros(rem.shape)
-    unmet = rem  # rem - grant
     left = capacity
-    open_mask = (w > 0) & (rem > 0)
+    if (w.ndim == 1 and w.size and left > 1e-12
+            and np.minimum(w, rem).min() > 0):
+        # Every task is open, and so none is negative: the first round is
+        # the loop's first round without its masks, each grant its step.
+        grant = np.minimum(left * w / w.sum(), rem)
+        left -= grant.sum()
+        unmet = rem - grant
+        if unmet.min() > 1e-12:
+            return grant  # nobody capped this round, capacity is exhausted
+        open_mask = unmet > 1e-12
+    else:
+        if np.count_nonzero(w < 0) or np.count_nonzero(rem < 0):
+            raise InvalidSpecError("weights and remaining must be nonnegative")
+        grant = np.zeros(rem.shape)
+        unmet = rem  # rem - grant
+        open_mask = (w > 0) & (rem > 0)
     n_open = np.count_nonzero(open_mask)
     while left > 1e-12 and n_open:
         w_open = w[open_mask]
@@ -109,6 +142,8 @@ def allocate_host_step(weights, remaining, capacity: float = 1.0):
         if n_still_open == n_open:
             break  # nobody capped this round, capacity is exhausted
         n_open = n_still_open
+    # A capped task's grant + (rem - grant) can round one ulp above rem.
+    np.copyto(grant, rem, where=grant > rem)
     return grant
 
 
@@ -138,24 +173,45 @@ def _draw_tasks(config: MarketConfig, rng: np.random.Generator) -> tuple:
             np.array(size), np.array(deadline), np.array(value))
 
 
+#: The MarketConfig fields _draw_tasks reads.  Runs that agree on them
+#: draw the same task table, whatever their behaviour or budget.
+_DRAW_KEYS = ("rng_seed", "num_users", "duration", "mean_task_interarrival",
+              "mean_task_size", "mean_task_deadline")
+_last_draw: tuple = ((), ())  # (key, table) of the latest draw
+
+
+def _task_table(config: MarketConfig) -> tuple:
+    """The read-only task table of ``config``'s draw.
+
+    The latest table is kept, so the behaviours at one (seed,
+    interarrival) point, run back to back, draw it once between them.
+    """
+    global _last_draw
+    key = tuple(getattr(config, name) for name in _DRAW_KEYS)
+    if _last_draw[0] != key:
+        table = _draw_tasks(config, np.random.default_rng(config.rng_seed))
+        for column in table:
+            column.flags.writeable = False
+        _last_draw = (key, table)
+    return _last_draw[1]
+
+
 class MarketSim:
     """One seeded run: arrival schedule, user purses, per-step allocation.
 
-    Tasks live in a struct of arrays indexed by arrival order; ``work`` is
-    the processor time each has received.  A step works on ``live``, the
-    indices of the submitted, unfinished, not withdrawn tasks in arrival
-    order, so every per-task float operation and every utility sum runs
-    in the same order as a loop over task objects would.
+    Tasks live in a read-only struct of arrays indexed by arrival order,
+    shared by the runs of one draw (see _task_table).  A step works on
+    ``live``, the indices of the submitted, unfinished, not withdrawn
+    tasks in arrival order, so every per-task float operation and every
+    utility sum runs in the same order as a loop over task objects would.
     """
 
     def __init__(self, config: MarketConfig):
         config.validate()
         self.config = config
-        self.rng = np.random.default_rng(config.rng_seed)
         self.balance = np.full(config.num_users, float(config.initial_balance))
         (self.arrival, self.owner, self.size, self.deadline,
-         self.value) = _draw_tasks(config, self.rng)
-        self.work = np.zeros(self.size.shape)
+         self.value) = _task_table(config)
         # Step t admits the tasks with arrival <= t: indices below cuts[t].
         self._cuts = np.searchsorted(
             self.arrival, np.arange(config.duration, dtype=float),
@@ -190,41 +246,43 @@ class MarketSim:
 
     def run(self) -> UtilityResult:
         cfg = self.config
-        size, deadline, value, work = (self.size, self.deadline, self.value,
-                                       self.work)
+        size, deadline, value = self.size, self.deadline, self.value
         keeps_expired = cfg.behavior is Behavior.STRATEGIC_NO_MARKET
         budgeted = cfg.behavior is Behavior.STRATEGIC_MARKET
         # Every task runs spread over every host with identical weights,
         # so one fill with the pooled capacity equals the per-host loop
         # (weighted fluid shares compose additively across hosts).
         capacity = float(cfg.num_hosts)
+        tasks = np.arange(size.size)
         live = np.empty(0, dtype=np.intp)
+        # The processor time each live task has received, aligned with
+        # live: appended on admission, compressed when tasks leave.
+        work = np.empty(0)
         admitted = 0
         for t_step, cut in enumerate(self._cuts):
             now = float(t_step)
             if budgeted:
                 self.balance += cfg.income_rate
             if cut > admitted:
-                live = np.concatenate((live, np.arange(admitted, cut)))
+                live = np.concatenate((live, tasks[admitted:cut]))
+                work = np.concatenate((work, np.zeros(cut - admitted)))
                 admitted = cut
             if not keeps_expired:
                 # A task that cannot finish inside its deadline earns
                 # nothing, so cooperative and budgeted users withdraw it.
                 # Free riders have no reason to bother: theirs stay.
-                live = live[deadline[live] >= now + 1.0]
+                keep = deadline[live] >= now + 1.0
+                if np.count_nonzero(keep) < live.size:
+                    live, work = live[keep], work[keep]
             if not live.size:
                 continue
             weights = self._weights_for(live, now)
-            done_before = work[live]
             size_live = size[live]
-            grants = allocate_host_step(weights, size_live - done_before,
-                                        capacity=capacity)
-            done_after = done_before + grants
-            # Work within 1e-9 of the size snaps to it.  Work reaches the
-            # size only through the snap, so the snapped tasks are exactly
-            # the finished ones.
-            finished = size_live - done_after <= 1e-9
-            work[live] = np.where(finished, size_live, done_after)
+            work += allocate_host_step(weights, size_live - work,
+                                       capacity=capacity)
+            # Work within 1e-9 of the size counts as done.  A finished
+            # task leaves live at once, so its work is never read again.
+            finished = size_live - work <= 1e-9
             if np.count_nonzero(finished):
                 ended = live[finished]
                 # Worth value * size if finished by the deadline, zero
@@ -234,7 +292,8 @@ class MarketSim:
                                       deadline[ended].tolist()):
                     if finish_time <= due:
                         self.total_utility += worth
-                live = live[~finished]
+                unfinished = ~finished
+                live, work = live[unfinished], work[unfinished]
         return self._result()
 
     def _result(self) -> UtilityResult:

@@ -67,13 +67,15 @@ def table():
 def market_grid():
     """behavior -> interarrival -> mean utility, seeds 42..51 per point.
 
-    Built by the CLI's own aggregator, so the gate checks the numbers
+    Built by the CLI's own sweep runner, so the gate checks the numbers
     figure1.csv reports.
     """
     seeds = list(range(42, 52))
-    return {behavior: {ia: cli._market_point({}, behavior, ia, seeds)[2]
-                       for ia in INTERARRIVALS}
-            for behavior in Behavior}
+    grid = {behavior: {} for behavior in Behavior}
+    for ia, behavior, mean, _, _ in cli._market_points(
+            {}, list(Behavior), INTERARRIVALS, seeds):
+        grid[Behavior(behavior)][ia] = mean
+    return grid
 
 
 # -- 1: the comparison table lands in its published bands ------------------

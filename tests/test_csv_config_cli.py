@@ -1,6 +1,7 @@
 """Output tables, configuration documents, and the command line."""
 
 import dataclasses
+import hashlib
 import json
 import re
 import typing
@@ -322,6 +323,14 @@ BAD_DOCUMENTS = [
     ("host.funding_mean_interval: more than one deposit",
      {"host": {"scheduler": "auction_share", "funding_mean_interval": 1e-300,
                "num_timeslices": 300}}),
+    # Runs that once validated and then never finished: about 6e302 tasks
+    # to draw, 1e12 market steps, and 1e302 harness slices.
+    ("market.mean_task_interarrival: more than",
+     {"market": {"mean_task_interarrival": 1e-300}}),
+    ("market.duration: must be <=", {"market": {"duration": 1000000000000}}),
+    ("sweep.interarrivals[0]: more than",
+     {"sweep": {"interarrivals": [1e-300]}}),
+    ("harness.duration: more than", {"harness": {"duration": 1e300}}),
 ]
 
 
@@ -507,6 +516,27 @@ def test_figure1_run_covers_the_grid(tmp_path):
     assert header == cli.MARKET_HEADER
     assert [(r[0], r[1]) for r in rows] == [("60", "obedient")]
     assert rows[0][-1] == "2"
+
+
+# sha256 of figure1.csv for seeds 1..3 of FIGURE1_PIN_DOC, config-hash line
+# included.  The runner steps interarrival -> seed -> behavior; this pins
+# the behavior-major rows and their per-seed aggregation.
+FIGURE1_PIN_DOC = {
+    "market": {"num_users": 20, "num_hosts": 4, "duration": 150},
+    # A repeated load keeps a row of its own.
+    "sweep": {"interarrivals": [100, 50, 20, 50]},
+}
+FIGURE1_PIN_SHA256 = \
+    "fdadc9b1d6248ff4d697587ff733db4d293b74253e5da58bcd14ed0a3a0531d2"
+
+
+def test_figure1_table_matches_pinned_digest(tmp_path):
+    conf = write_json(tmp_path, FIGURE1_PIN_DOC)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--experiment", "figure1", "--config", conf,
+                     "--seeds", "1..3", "--out", str(out)]) == 0
+    data = (out / "figure1.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == FIGURE1_PIN_SHA256
 
 
 def test_table1_run_has_five_rows(tmp_path):

@@ -154,6 +154,28 @@ def test_zero_request_probability_idles_the_web_process():
     assert metrics.utilization == 1.0
 
 
+def test_web_demand_filling_the_window_drops_batch_targets():
+    # One measured slice, and a request arrives in it: the yielding web
+    # server's target is the whole CPU, so no batch process has a target.
+    cfg = HostSimConfig(
+        num_timeslices=580, warmup_slices=579, weights=(1.0, 1.0),
+        web=WorkloadSpec(request_probability=0.75, service_demand=0.01,
+                         yields_cpu=True),
+        timeslice_length=0.01, rng_seed=3)
+    metrics = run_host_sim(cfg)
+    assert metrics.per_process_shares == {0: 0.0, 1: 1.0}
+    assert metrics.scheduling_error == 1.0
+    assert hostsim._intended_shares(cfg, 1.0) == {0: 1.0}
+    assert hostsim._intended_shares(cfg, 0.25) == {0: 0.25, 1: 0.75}
+
+
+def test_latency_metrics_are_python_floats():
+    for scheduler in SchedulerKind:
+        metrics = run_host_sim(HostSimConfig(**SMALL, scheduler=scheduler))
+        assert type(metrics.mean_latency) is float
+        assert type(metrics.mean_latency_ms) is float
+
+
 def test_shares_sum_to_utilization():
     for scheduler in SchedulerKind:
         metrics = run_host_sim(HostSimConfig(**SMALL, scheduler=scheduler))
@@ -321,7 +343,8 @@ def per_slice_ps(config, arrivals, offsets, queue, slice_counts):
             slice_counts[winner.process_id] += 1
         queue.maybe_arrive(
             bool(arrivals[k]),
-            lambda: RequestRecord(arrival_time=(k + offsets[k]) * dt))
+            lambda: RequestRecord(
+                arrival_time=float((k + offsets[k]) * dt)))
 
 
 def per_slice_auction(config, arrivals, offsets, funding_seed, queue,
@@ -384,7 +407,8 @@ def per_slice_auction(config, arrivals, offsets, funding_seed, queue,
             slice_counts[result.winner] += 1
         queue.maybe_arrive(
             bool(arrivals[k]),
-            lambda: RequestRecord(arrival_time=(k + offsets[k]) * dt))
+            lambda: RequestRecord(
+                arrival_time=float((k + offsets[k]) * dt)))
 
 
 def per_slice_host_sim(config):

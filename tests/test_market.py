@@ -28,7 +28,9 @@ def run_on_tasks(monkeypatch, tasks, **overrides):
     """
     columns = [np.array(c, dtype=float) for c in zip(*tasks)]
     columns[1] = columns[1].astype(np.intp)
-    monkeypatch.setattr(market, "_draw_tasks", lambda cfg, rng: columns)
+    # Patched above the draw memo, so no table drawn or patched earlier
+    # under the same config is served in place of this one.
+    monkeypatch.setattr(market, "_task_table", lambda cfg: tuple(columns))
     weights_seen = []
     fill = market.allocate_host_step
 
@@ -152,6 +154,89 @@ def test_grants_respect_capacity_demand_and_weight(tasks, capacity):
         assert per_weight.max() == pytest.approx(per_weight.min(), rel=1e-9)
 
 
+def reference_fill(weights, remaining, capacity=1.0):
+    """allocate_host_step with every round masked, the first included;
+    kept as the reference the all-open first round must reproduce."""
+    w = np.asarray(weights, dtype=float)
+    rem = np.asarray(remaining, dtype=float)
+    if w.shape != rem.shape:
+        raise InvalidSpecError("weights and remaining must align")
+    if (w < 0).any() or (rem < 0).any():
+        raise InvalidSpecError("weights and remaining must be nonnegative")
+    grant = np.zeros(rem.shape)
+    unmet = rem  # rem - grant
+    left = capacity
+    open_mask = (w > 0) & (rem > 0)
+    n_open = np.count_nonzero(open_mask)
+    while left > 1e-12 and n_open:
+        w_open = w[open_mask]
+        step = np.zeros(rem.shape)
+        step[open_mask] = left * w_open / w_open.sum()
+        step = np.minimum(step, unmet)
+        grant += step
+        left -= step.sum()
+        unmet = rem - grant
+        open_mask &= unmet > 1e-12
+        n_still_open = np.count_nonzero(open_mask)
+        if n_still_open == n_open:
+            break  # nobody capped this round, capacity is exhausted
+        n_open = n_still_open
+    np.copyto(grant, rem, where=grant > rem)
+    return grant
+
+
+def test_capped_grant_never_rounds_above_its_demand():
+    # The second round's grant + (rem - grant) rounds one ulp above 2.31...
+    weights = [739.0989875012624, 0.3333333333333333, 325.6086160732494,
+               462.52809104544343]
+    remaining = np.array([1.0, 2.3137394776713696, 1.0, 1.0])
+    grant = allocate_host_step(weights, remaining, 17.987516257436834)
+    assert hex_grants(grant) == hex_grants(remaining)
+
+
+def hex_grants(grant):
+    return [g.hex() for g in np.asarray(grant).tolist()]
+
+
+open_weight_st = st.floats(1e-3, 1e3)
+open_remaining_st = st.one_of(st.floats(1e-3, 10.0), st.just(float("inf")))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+           # Partly open: zero weights and zero or infinite demands.
+           st.lists(st.tuples(weights_st, remaining_st), max_size=40),
+           # All open, capped in the first round or not.
+           st.lists(st.tuples(open_weight_st, open_remaining_st),
+                    min_size=1, max_size=40)),
+       st.floats(0.1, 20.0))
+def test_fill_matches_the_masked_reference_bit_for_bit(tasks, capacity):
+    weights = np.array([w for w, _ in tasks], dtype=float)
+    remaining = np.array([r for _, r in tasks], dtype=float)
+    assert hex_grants(allocate_host_step(weights, remaining, capacity)) \
+        == hex_grants(reference_fill(weights, remaining, capacity))
+
+
+@pytest.mark.parametrize("weights,remaining", [
+    ([float("nan"), 1.0], [1.0, 1.0]),
+    ([1.0, 1.0], [float("nan"), 0.5]),
+    ([float("nan")], [float("nan")]),
+    ([2.0, -1.0], [1.0, 1.0]),
+    ([2.0, 1.0], [1.0, -0.5]),
+    ([float("nan"), -1.0], [1.0, 1.0]),
+])
+def test_fill_treats_nan_and_negative_input_as_the_reference(weights,
+                                                              remaining):
+    try:
+        expected = hex_grants(reference_fill(weights, remaining, 2.0))
+    except InvalidSpecError:
+        with pytest.raises(InvalidSpecError):
+            allocate_host_step(weights, remaining, 2.0)
+    else:
+        assert hex_grants(allocate_host_step(weights, remaining, 2.0)) \
+            == expected
+
+
 # -- utility ----------------------------------------------------------------
 
 
@@ -270,6 +355,139 @@ def test_free_riders_lose_past_saturation():
     assert results[Behavior.STRATEGIC_NO_MARKET] < results[Behavior.OBEDIENT]
 
 
+def reference_total_utility(config):
+    """MarketSim.run with a full-size work array, gathered and scattered
+    every step, and the masked fill; kept as the reference the compact
+    live work must reproduce."""
+    sim = MarketSim(config)
+    cfg = sim.config
+    size, deadline, value = sim.size, sim.deadline, sim.value
+    work = np.zeros(size.shape)
+    keeps_expired = cfg.behavior is Behavior.STRATEGIC_NO_MARKET
+    budgeted = cfg.behavior is Behavior.STRATEGIC_MARKET
+    capacity = float(cfg.num_hosts)
+    total = 0.0
+    live = np.empty(0, dtype=np.intp)
+    admitted = 0
+    for t_step, cut in enumerate(sim._cuts):
+        now = float(t_step)
+        if budgeted:
+            sim.balance += cfg.income_rate
+        if cut > admitted:
+            live = np.concatenate((live, np.arange(admitted, cut)))
+            admitted = cut
+        if not keeps_expired:
+            live = live[deadline[live] >= now + 1.0]
+        if not live.size:
+            continue
+        weights = sim._weights_for(live, now)
+        done_before = work[live]
+        size_live = size[live]
+        grants = reference_fill(weights, size_live - done_before,
+                                capacity=capacity)
+        done_after = done_before + grants
+        finished = size_live - done_after <= 1e-9
+        work[live] = np.where(finished, size_live, done_after)
+        if np.count_nonzero(finished):
+            ended = live[finished]
+            finish_time = now + 1.0
+            for worth, due in zip((value[ended] * size[ended]).tolist(),
+                                  deadline[ended].tolist()):
+                if finish_time <= due:
+                    total += worth
+            live = live[~finished]
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(num_users=st.integers(2, 30), num_hosts=st.integers(1, 5),
+       duration=st.integers(50, 300), interarrival=st.floats(5.0, 200.0),
+       behavior=st.sampled_from(Behavior),
+       initial=st.sampled_from([0.0, 5.0, 100.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_run_matches_the_full_size_reference_bit_for_bit(
+        num_users, num_hosts, duration, interarrival, behavior, initial, seed):
+    cfg = MarketConfig(num_users=num_users, num_hosts=num_hosts,
+                       duration=duration, mean_task_interarrival=interarrival,
+                       behavior=behavior, initial_balance=initial,
+                       rng_seed=seed)
+    sim = MarketSim(cfg)
+    sim.run()
+    assert sim.total_utility.hex() == reference_total_utility(cfg).hex()
+
+
+# -- one draw per (seed, load) -------------------------------------------------
+
+
+def count_draws(monkeypatch):
+    draws = []
+    draw = market._draw_tasks
+
+    def spy(cfg, rng):
+        draws.append(cfg)
+        return draw(cfg, rng)
+
+    monkeypatch.setattr(market, "_draw_tasks", spy)
+    return draws
+
+
+def test_behaviours_at_one_point_share_one_read_only_table(monkeypatch):
+    draws = count_draws(monkeypatch)
+    cfg = small_config(rng_seed=401)
+    sims = [MarketSim(dataclasses.replace(cfg, behavior=behavior))
+            for behavior in Behavior]
+    assert len(draws) == 1
+    for name in ("arrival", "owner", "size", "deadline", "value"):
+        columns = [getattr(sim, name) for sim in sims]
+        assert all(column is columns[0] for column in columns)
+        assert not columns[0].flags.writeable
+
+
+def test_each_draw_key_draws_anew(monkeypatch):
+    draw = market._draw_tasks
+    draws = count_draws(monkeypatch)
+    cfg = small_config(rng_seed=402)
+    MarketSim(cfg)
+    # Fields the draw does not read share the table.
+    MarketSim(dataclasses.replace(
+        cfg, num_hosts=2, max_weight=3.0, behavior=Behavior.STRATEGIC_MARKET,
+        income_rate=2.0, initial_balance=7.0))
+    assert len(draws) == 1
+    changed = {"rng_seed": 403, "num_users": 21, "duration": 151,
+               "mean_task_interarrival": 81.0, "mean_task_size": 11.0,
+               "mean_task_deadline": 31.0}
+    assert set(changed) == set(market._DRAW_KEYS)
+    for name, other in changed.items():
+        fresh = dataclasses.replace(cfg, **{name: other})
+        sim = MarketSim(fresh)
+        assert draws[-1] is fresh, name
+        expected = draw(fresh, np.random.default_rng(fresh.rng_seed))
+        assert [c.tolist() for c in expected] == [
+            getattr(sim, c).tolist()
+            for c in ("arrival", "owner", "size", "deadline", "value")], name
+        MarketSim(cfg)  # back to the first table, drawn again
+    assert len(draws) == 1 + 2 * len(changed)
+
+
+def test_writing_to_the_table_raises():
+    sim = MarketSim(small_config(rng_seed=404))
+    for name in ("arrival", "owner", "size", "deadline", "value"):
+        with pytest.raises(ValueError):
+            getattr(sim, name)[0] = 1
+
+
+def test_hand_built_tables_are_never_served_stale(monkeypatch):
+    # Both tables run under one config, so a memo keyed on the config
+    # alone would hand the second run the first table.
+    first = [(0.5, 0, 10.0, 30.5, 0.5)]
+    second = [(0.5, 1, 4.0, 30.5, 0.25), (1.5, 0, 6.0, 20.5, 1.0)]
+    for tasks in (first, second, first):
+        sim, _ = run_on_tasks(monkeypatch, tasks)
+        assert sim.arrival.tolist() == [t[0] for t in tasks]
+        assert sim.size.tolist() == [t[2] for t in tasks]
+        assert sim.total_utility == sum(t[2] * t[4] for t in tasks)
+
+
 # repr-exact utilities of 20 users on 4 hosts for 300 steps (seed 5).  A
 # run that changes a float operation, or the order of the utility sum,
 # misses them in the last digits.
@@ -294,8 +512,8 @@ def test_market_runs_match_pinned_values():
 def test_market_point_aggregates_seeds():
     block = {"num_users": 20, "num_hosts": 4, "duration": 150}
     for ia in (100.0, 50.0):
-        row = cli._market_point({"market": block}, Behavior.OBEDIENT, ia,
-                                [11, 12, 13])
+        row, = cli._market_points({"market": block}, [Behavior.OBEDIENT],
+                                  [ia], [11, 12, 13])
         interarrival, behavior, mean, stddev, seeds = row
         assert (interarrival, behavior, seeds) == (ia, "obedient", 3)
         assert stddev >= 0.0

@@ -68,17 +68,15 @@ def _host_row(metrics) -> list:
             metrics.utilization, metrics.seed]
 
 
-def _run_host(doc, seeds, out_dir, resolved) -> list[Path]:
+def _run_host(doc, seeds) -> list[tuple]:
     rows = []
     for seed in seeds:
         metrics = run_host_sim(cfg.build_host_config(doc.get("host", {}), seed))
         rows.append(_host_row(metrics))
-    path = out_dir / "host.csv"
-    emit_csv(path, HOST_HEADER, rows, resolved)
-    return [path]
+    return [("host.csv", HOST_HEADER, rows, ())]
 
 
-def _run_table1(doc, seeds, out_dir, resolved) -> list[Path]:
+def _run_table1(doc, seeds) -> list[tuple]:
     errors: dict[str, list[float]] = {}
     latencies: dict[str, list[float]] = {}
     meta = {}
@@ -98,9 +96,7 @@ def _run_table1(doc, seeds, out_dir, resolved) -> list[Path]:
         lat_mean, lat_std = _mean_std(latencies.get(label, []))
         rows.append([label, scheduler, share, yields,
                      err_mean, err_std, lat_mean, lat_std, len(seeds)])
-    path = out_dir / "table1.csv"
-    emit_csv(path, TABLE1_HEADER, rows, resolved)
-    return [path]
+    return [("table1.csv", TABLE1_HEADER, rows, ())]
 
 
 def _market_points(doc, behaviors, interarrivals, seeds) -> list:
@@ -129,24 +125,20 @@ def _market_points(doc, behaviors, interarrivals, seeds) -> list:
     return rows
 
 
-def _run_market(doc, seeds, out_dir, resolved) -> list[Path]:
+def _run_market(doc, seeds) -> list[tuple]:
     base = cfg.build_market_config(doc.get("market", {}))
     rows = _market_points(doc, [base.behavior],
                           [base.mean_task_interarrival], seeds)
-    path = out_dir / "market.csv"
-    emit_csv(path, MARKET_HEADER, rows, resolved)
-    return [path]
+    return [("market.csv", MARKET_HEADER, rows, ())]
 
 
-def _run_figure1(doc, seeds, out_dir, resolved) -> list[Path]:
+def _run_figure1(doc, seeds) -> list[tuple]:
     interarrivals, behaviors = cfg.sweep_points(doc)
     rows = _market_points(doc, behaviors, interarrivals, seeds)
-    path = out_dir / "figure1.csv"
-    emit_csv(path, MARKET_HEADER, rows, resolved)
-    return [path]
+    return [("figure1.csv", MARKET_HEADER, rows, ())]
 
 
-def _run_harness(doc, seeds, out_dir, resolved) -> list[Path]:
+def _run_harness(doc, seeds) -> list[tuple]:
     users, hosts, events, audits = [], [], [], []
     for seed in seeds:
         report = run_harness_scenario(
@@ -165,16 +157,12 @@ def _run_harness(doc, seeds, out_dir, resolved) -> list[Path]:
             f"ledger-audit seed={seed}: conserved={str(report.ledger_ok).lower()}"
             f" issued={report.total_issued} final={report.final_total}"
             f" dropped={report.messages_dropped}")
-    paths = []
-    for name, header, rows in (("harness_users.csv", USERS_HEADER, users),
-                               ("harness_hosts.csv", HOSTS_HEADER, hosts),
-                               ("harness_events.csv", EVENTS_HEADER, events)):
-        path = out_dir / name
-        emit_csv(path, header, rows, resolved, comments=tuple(audits))
-        paths.append(path)
-    return paths
+    return [("harness_users.csv", USERS_HEADER, users, audits),
+            ("harness_hosts.csv", HOSTS_HEADER, hosts, audits),
+            ("harness_events.csv", EVENTS_HEADER, events, audits)]
 
 
+# Each runner returns its tables as (file name, header, rows, comments).
 _RUNNERS = {
     cfg.Experiment.HOST: _run_host,
     cfg.Experiment.MARKET: _run_market,
@@ -235,7 +223,9 @@ def _cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     resolved = cfg.resolved_config(doc, experiment, seeds, repetitions)
-    for path in _RUNNERS[experiment](doc, seeds, out_dir, resolved):
+    for name, header, rows, comments in _RUNNERS[experiment](doc, seeds):
+        path = out_dir / name
+        emit_csv(path, header, rows, resolved, comments=comments)
         print(f"wrote {path}")
     return 0
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import sys
 import typing
 from enum import Enum
@@ -73,8 +74,10 @@ class SweepConfig:
     behaviors: tuple[Behavior, ...] = tuple(Behavior)
 
     def validate(self) -> None:
-        if not self.interarrivals or min(self.interarrivals) <= 0:
-            raise ConfigError("interarrivals: need at least one, all > 0")
+        if not self.interarrivals or not all(
+                0 < x < math.inf for x in self.interarrivals):
+            raise ConfigError(
+                "interarrivals: need at least one, all > 0 and finite")
         if not self.behaviors:
             raise ConfigError("behaviors: must not be empty")
 

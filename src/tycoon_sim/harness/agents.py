@@ -26,10 +26,12 @@ class ParentJob:
     def validate(self) -> None:
         if self.num_hosts < 1:
             raise ConfigError("num_hosts: must be >= 1")
-        if self.deadline_minutes <= 0:
-            raise ConfigError("deadline_minutes: must be > 0")
-        if self.total_credits < 0:
-            raise ConfigError("total_credits: must be >= 0")
+        if not 0 < self.deadline_minutes < math.inf:
+            raise ConfigError("deadline_minutes: must be > 0 and finite")
+        if not 0 <= self.total_credits < math.inf:
+            raise ConfigError("total_credits: must be >= 0 and finite")
+        if not math.isfinite(self.performance_cost_threshold):
+            raise ConfigError("performance_cost_threshold: must be finite")
 
 
 @dataclass

@@ -67,41 +67,28 @@ class PolicyKind(Enum):
     CLOSED_LOOP = "closed_loop"
 
 
-@dataclass
-class FundingPolicy:
-    """How credits enter and leave user accounts over time.
-
-    Open loop: an administrator account pays each user its income rate
-    every tick and provider earnings are drained back to the
-    administrator, so purchasing power is continually re-issued.  Closed
-    loop: users live off their initial allotment plus whatever they earn
-    by providing; the policy itself does nothing per tick.
-    """
-
-    kind: PolicyKind = PolicyKind.CLOSED_LOOP
-    admin_account: str = "admin"
-    # account id -> micro-credits granted per tick (open loop only)
-    income_rates: dict = field(default_factory=dict)
-    provider_accounts: tuple = ()
-
-
-def apply_funding_policy(ledger: BankLedger, policy: FundingPolicy) -> list:
+def apply_funding_policy(ledger: BankLedger, admin_account: str,
+                         income_rates: dict, provider_accounts) -> list:
     """Pay one tick's incomes, then drain the providers to the admin.
+
+    Open loop only: the admin account pays each user its income rate
+    (account id -> micro-credits per tick) and provider earnings drain
+    back to it, so purchasing power is continually re-issued.  Closed
+    loop has no tick: users live off their initial allotment plus
+    whatever they earn by providing.
 
     An income the admin account cannot cover is skipped, not raised: a
     dry pool starves its users rather than stopping the economy.
     Returns the accounts whose income was skipped, in payment order.
     """
     skipped = []
-    if policy.kind is PolicyKind.CLOSED_LOOP:
-        return skipped
-    for account_id, rate in sorted(policy.income_rates.items()):
+    for account_id, rate in sorted(income_rates.items()):
         try:
-            bank_transfer(ledger, policy.admin_account, account_id, rate)
+            bank_transfer(ledger, admin_account, account_id, rate)
         except InsufficientBalanceError:
             skipped.append(account_id)
-    for provider in policy.provider_accounts:
+    for provider in provider_accounts:
         held = ledger.balance(provider)
         if held:
-            bank_transfer(ledger, provider, policy.admin_account, held)
+            bank_transfer(ledger, provider, admin_account, held)
     return skipped

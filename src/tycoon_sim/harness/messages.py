@@ -89,10 +89,9 @@ class Network:
         discarded, never raised: a crashed recipient must not take the
         rest of the system down with it.
         """
-        queue, handlers, pop = self._queue, self._handlers, heapq.heappop
-        while queue and queue[0][0] <= now:
-            msg = pop(queue)
-            handler = handlers.get(msg.recipient)
+        while self._queue and self._queue[0].delivery_time <= now:
+            msg = heapq.heappop(self._queue)
+            handler = self._handlers.get(msg.recipient)
             if handler is None:
                 self.undeliverable += 1
                 continue

@@ -30,9 +30,8 @@ from ..sched.types import AgentAccount, PriceMode, SchedulerConfig
 from ..slices import _first_slice_at
 from .agents import (ChildAgentState, ParentJob, parent_budget,
                      parent_monitor_and_replace)
-from .bank import (MICRO, BankLedger, FundingPolicy, PolicyKind,
-                   apply_funding_policy, bank_transfer, credits_to_micro,
-                   micro_to_credits)
+from .bank import (MICRO, BankLedger, PolicyKind, apply_funding_policy,
+                   bank_transfer, credits_to_micro, micro_to_credits)
 from .messages import MessageKind, Network
 from .sls import ServiceLocator
 
@@ -100,8 +99,8 @@ class ScenarioConfig:
                      "funding_chunk_minutes", "sls_ttl", "advertise_interval",
                      "monitor_interval", "report_timeout",
                      "funding_interval"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name}: must be > 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name}: must be > 0 and finite")
         # run() rounds each of these to a whole number of slices.
         for name in ("duration", "advertise_interval", "monitor_interval",
                      "funding_interval"):
@@ -111,22 +110,22 @@ class ScenarioConfig:
             raise ConfigError(f"duration: more than {MAX_SLICES} slices")
         for name in ("message_latency", "migration_overhead",
                      "open_loop_income", "admin_pool"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name}: must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name}: must be >= 0 and finite")
         if not 0 <= self.drop_probability < 1:
             raise ConfigError("drop_probability: must be in [0, 1)")
         if not 0 < self.refresh_fraction < 1:
             raise ConfigError("refresh_fraction: must be in (0, 1)")
         for i, speed in enumerate(self.host_speeds):
-            if speed <= 0:
-                raise ConfigError(f"host_speeds[{i}]: must be > 0")
+            if not 0 < speed < math.inf:
+                raise ConfigError(f"host_speeds[{i}]: must be > 0 and finite")
         if len(self.host_speeds) > self.num_hosts:
             raise ConfigError("host_speeds: more entries than num_hosts")
         for i, (when, host) in enumerate(self.kill_hosts):
-            if not when < self.duration:
+            if not -math.inf < when < self.duration:
                 raise ConfigError(
-                    f"kill_hosts[{i}][0]: time {when} is not before "
-                    f"duration {self.duration}, so the kill never fires")
+                    f"kill_hosts[{i}][0]: time {when} is not finite and "
+                    f"before duration {self.duration}")
             if not 0 <= host < self.num_hosts:
                 raise ConfigError(
                     f"kill_hosts index {host} outside 0..{self.num_hosts - 1}")
@@ -178,12 +177,13 @@ class _HostNode:
             price_mode=sim.config.price_mode))
         self.alive = True
         self.children: dict[str, _Seat] = {}
-        self._by_agent: dict[int, _Seat] = {}
+        # Every seat opened here, indexed by its agent id: ids go out
+        # 0, 1, 2, ... in open order.  A killed seat stays, out of the heap.
+        self._seats: list[_Seat] = []
         # Seats not yet runnable, in the order they were opened.
         self._pending: list[_Seat] = []
         # Key of every child killed here -> its final metered spend.
         self._killed: dict[str, int] = {}
-        self._next_agent_id = 0
         self.slices_alive = 0
         self.slices_won = 0
 
@@ -194,13 +194,12 @@ class _HostNode:
         if seat is None:
             chunk = self.sim.config.funding_chunk_minutes * 60.0
             agent = AgentAccount(
-                agent_id=self._next_agent_id, balance=0.0,
+                agent_id=len(self._seats), balance=0.0,
                 requested_cpu_seconds=chunk / self.sim.config.timeslice_length)
-            self._next_agent_id += 1
             self.sched.add_agent(agent, runnable=False)
             seat = _Seat(agent)
             self.children[child_key] = seat
-            self._by_agent[agent.agent_id] = seat
+            self._seats.append(seat)
             self._pending.append(seat)
         return seat
 
@@ -221,7 +220,6 @@ class _HostNode:
             self._killed[key] = 0
             seat = self.children.pop(key, None)
             if seat is not None:
-                del self._by_agent[seat.agent.agent_id]
                 self._pending = [s for s in self._pending if s is not seat]
                 self.sched.set_runnable(seat.agent.agent_id, False)
                 self._killed[key] = math.floor(seat.spent * MICRO)
@@ -257,7 +255,7 @@ class _HostNode:
         if not self.alive:
             return
         dt = self.sim.config.timeslice_length
-        sched, by_agent = self.sched, self._by_agent
+        sched, seats = self.sched, self._seats
         work = self._work_per_slice
         while k0 < k1:
             end = k1
@@ -286,7 +284,7 @@ class _HostNode:
                 for winner, payment in zip(winners, payments):
                     # Only seated, activated agents are runnable, so the
                     # winner has a seat.
-                    seat = by_agent[winner]
+                    seat = seats[winner]
                     seat.progress += work
                     seat.spent += payment
             k0 = end
@@ -345,7 +343,6 @@ class _ParentNode:
         self.reclaimed_micro = 0
         self._child_serial = 0
         self._provisioned = False
-        self._decide_pending = False
 
     def handle(self, msg) -> None:
         kind, p = msg.kind, msg.payload
@@ -406,12 +403,8 @@ class _ParentNode:
                                   {"child_key": key})
         self.sim.network.send(self.sim.now, self.parent_id, "sls",
                               MessageKind.LOOKUP, {})
-        self._decide_pending = True
 
     def monitor_decide(self) -> None:
-        if not self._decide_pending:
-            return
-        self._decide_pending = False
         now = self.sim.now
         dead = [key for key, child in self.children.items()
                 if now - child.last_report > self.sim.config.report_timeout]
@@ -600,27 +593,23 @@ class HarnessSim:
         if config.policy_kind is PolicyKind.OPEN_LOOP:
             self.ledger.create_account("admin",
                                        credits_to_micro(config.admin_pool))
-            self.policy = FundingPolicy(
-                kind=PolicyKind.OPEN_LOOP,
-                income_rates={p.account: credits_to_micro(
-                    config.open_loop_income) for p in self.parents},
-                provider_accounts=tuple(h.provider_account
-                                        for h in self.hosts))
-        else:
-            self.policy = FundingPolicy(kind=PolicyKind.CLOSED_LOOP)
         self._pending_kills = sorted(config.kill_hosts)
 
     def run(self) -> ScenarioReport:
         cfg = self.config
         dt = cfg.timeslice_length
         total = int(round(cfg.duration / dt))
-        drained = {h.provider_account: 0 for h in self.hosts}
+        providers = [host.provider_account for host in self.hosts]
+        drained = dict.fromkeys(providers, 0)
         open_loop = cfg.policy_kind is PolicyKind.OPEN_LOOP
+        income = credits_to_micro(cfg.open_loop_income)
+        incomes = {parent.account: income for parent in self.parents}
         advertise_every, monitor_every, funding_every = (
             max(1, round(interval / dt)) for interval in (
                 cfg.advertise_interval, cfg.monitor_interval,
                 cfg.funding_interval))
         k = 0
+        queried = False
         while k < total:
             self.now = k * dt
             while self._pending_kills and self._pending_kills[0][0] <= self.now:
@@ -641,21 +630,22 @@ class HarnessSim:
                     self.network.send(self.now, parent.parent_id, "sls",
                                       MessageKind.LOOKUP, {})
             if funding_tick:
-                for h in self.hosts:
-                    drained[h.provider_account] += \
-                        self.ledger.balance(h.provider_account)
+                for account in providers:
+                    drained[account] += self.ledger.balance(account)
                 # A parent the dry admin pool could not pay gets no
                 # spending room this interval and counts a starvation.
-                unpaid = apply_funding_policy(self.ledger, self.policy)
+                unpaid = apply_funding_policy(self.ledger, "admin", incomes,
+                                              providers)
                 for parent in self.parents:
                     if parent.account in unpaid:
                         parent.starvation_events += 1
                     else:
-                        parent.remaining_micro += \
-                            self.policy.income_rates[parent.account]
+                        parent.remaining_micro += income
             self.network.pump(self.now)
-            for parent in self.parents:
-                parent.monitor_decide()
+            if queried:
+                # The slice after a query is always an event slice.
+                for parent in self.parents:
+                    parent.monitor_decide()
             queried = k > 0 and k % monitor_every == 0
             if queried:
                 for parent in self.parents:
@@ -685,7 +675,6 @@ class HarnessSim:
         # settlement round.
         for parent in self.parents:
             parent.monitor_query()
-            parent._decide_pending = False
         for host in self.hosts:
             host.settle()
         self.network.pump(self.now + self.config.message_latency * 2)

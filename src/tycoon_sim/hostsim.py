@@ -109,14 +109,15 @@ class HostSimConfig:
     def validate(self) -> None:
         for name in ("num_timeslices", "timeslice_length",
                      "funding_mean_interval"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name}: must be > 0")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name}: must be > 0 and finite")
         if not 0 <= self.warmup_slices < self.num_timeslices:
             raise ConfigError("warmup_slices: must leave a measurement window")
-        if len(self.weights) < 2 or any(w <= 0 for w in self.weights):
+        if len(self.weights) < 2 or not all(
+                0 < w < np.inf for w in self.weights):
             raise ConfigError(
                 "weights: need a web process plus at least one batch "
-                "process, all with positive weight")
+                "process, all with positive finite weight")
         if (self.funding_mode is FundingMode.PERIODIC
                 and self.funding_mean_interval / max(self.weights)
                 < self.timeslice_length):
@@ -126,17 +127,17 @@ class HostSimConfig:
                 "slice (interval / largest weight < timeslice_length)")
         if not 0.0 <= self.web.request_probability <= 1.0:
             raise ConfigError("web.request_probability: must be in [0, 1]")
-        if self.web.service_demand <= 0:
-            raise ConfigError("web.service_demand: must be > 0")
-        if self.web.service_demand > self.timeslice_length:
-            # One request is served per slice, so it must fit in one.
+        if self.web.service_demand != self.timeslice_length:
+            # A served request takes one whole slice; any other demand
+            # would only rescale the web server's intended share.
             raise ConfigError(
-                f"web.service_demand: {self.web.service_demand} exceeds "
+                f"web.service_demand: {self.web.service_demand} is not "
                 f"timeslice_length {self.timeslice_length}")
         if not 0.0 < self.web_intended_share < 1.0:
             raise ConfigError("web_intended_share: must be in (0, 1)")
-        if self.initial_funding_intervals < 0:
-            raise ConfigError("initial_funding_intervals: must be >= 0")
+        if not 0 <= self.initial_funding_intervals < np.inf:
+            raise ConfigError(
+                "initial_funding_intervals: must be >= 0 and finite")
 
 
 @dataclass

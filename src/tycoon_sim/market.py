@@ -58,11 +58,11 @@ class MarketConfig:
     def validate(self) -> None:
         for name in ("num_users", "num_hosts", "mean_task_interarrival",
                      "mean_task_size", "mean_task_deadline", "max_weight"):
-            if getattr(self, name) <= 0:
-                raise InvalidSpecError(f"{name}: must be > 0")
+            if not 0 < getattr(self, name) < np.inf:
+                raise InvalidSpecError(f"{name}: must be > 0 and finite")
         for name in ("duration", "income_rate", "initial_balance"):
-            if getattr(self, name) < 0:
-                raise InvalidSpecError(f"{name}: must be >= 0")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise InvalidSpecError(f"{name}: must be >= 0 and finite")
         if self.duration > MAX_DURATION:
             raise InvalidSpecError(f"duration: must be <= {MAX_DURATION}")
         if self.draws_too_many(self.mean_task_interarrival):

@@ -26,9 +26,6 @@ from ..errors import (
 from .bidheap import BidHeap
 from .types import AgentAccount, PriceMode, PriceStats, Reservation, SchedulerConfig
 
-# Read on every charged slice; a global is cheaper than a member lookup.
-_SECOND_PRICE = PriceMode.SECOND_PRICE
-
 
 def compute_bid(account: AgentAccount) -> float:
     """Price per timeslice the agent currently offers."""
@@ -187,15 +184,11 @@ class AuctionShareScheduler:
         which must lie in (0, timeslice_length].  An empty queue returns
         ``SliceResult(None, 0.0)``.  Each call advances ``slice_index``.
         """
-        config = self.config
-        length = config.timeslice_length
+        length = self.config.timeslice_length
         if elapsed is None:
             elapsed = length
-        heap = self.heap
-        top = heap.peek()
-        reservations = self.reservations
-        # Most hosts never sell a reservation; skip their bookkeeping.
-        reservation = pending_reservation(reservations) if reservations else None
+        top = self.heap.peek()
+        reservation = pending_reservation(self.reservations)
 
         if reservation is not None:
             # Prepaid proxy win; priced at the best competing spot bid.
@@ -203,33 +196,29 @@ class AuctionShareScheduler:
             reservation.slices_won += 1
             self.price_stats.observe(top[1] if top is not None else 0.0)
         elif top is not None:
-            winner_id = top[0]
             if not 0 < elapsed <= length:
                 raise InvalidElapsedError(
                     f"elapsed {elapsed} outside (0, {length}]")
+            winner_id = top[0]
             account = self.accounts[winner_id]
-            if config.price_mode is _SECOND_PRICE:
-                runner_up = heap.second()
+            if self.config.price_mode is PriceMode.SECOND_PRICE:
+                runner_up = self.heap.second()
                 rate = runner_up[1] if runner_up is not None else 0.0
             else:
                 rate = compute_bid(account)
             fraction = elapsed / length
-            balance = account.balance
-            payment = fraction * rate
-            if balance < payment:
-                payment = balance
-            account.balance = balance - payment
-            heap.update(winner_id, compute_bid(account))
+            payment = min(fraction * rate, account.balance)
+            account.balance -= payment
+            self.heap.update(winner_id, compute_bid(account))
             result = SliceResult(winner_id, payment)
             self.price_stats.observe(payment / fraction)
         else:
             result = SliceResult(None, 0.0)
 
-        if reservations:
-            for r in reservations:
-                if r.active():
-                    r.slices_elapsed += 1
-            self.reservations = [r for r in reservations if r.active()]
+        for r in self.reservations:
+            if r.active():
+                r.slices_elapsed += 1
+        self.reservations = [r for r in self.reservations if r.active()]
         self.slice_index += 1
         return result
 
@@ -255,7 +244,7 @@ class AuctionShareScheduler:
         balances = [account.balance for account in accounts]
         requests = [account.requested_cpu_seconds for account in accounts]
         queued = bids[:]
-        second_price = self.config.price_mode is _SECOND_PRICE
+        second_price = self.config.price_mode is PriceMode.SECOND_PRICE
         others = range(1, len(ids))
         winners, payments = [], []
         win, pay = winners.append, payments.append

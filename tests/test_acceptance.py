@@ -20,8 +20,6 @@ from test_bidheap import max_op_comparisons
 from tycoon_sim import cli
 from tycoon_sim.harness.bank import (
     BankLedger,
-    FundingPolicy,
-    PolicyKind,
     apply_funding_policy,
     bank_transfer,
 )
@@ -219,16 +217,14 @@ def test_criterion_5_conservation_under_churn_and_faults():
     ids = [f"acct:{i}" for i in range(12)]
     for account_id in ids:
         ledger.create_account(account_id, int(rng.integers(0, 5_000_000)))
-    policy = FundingPolicy(kind=PolicyKind.OPEN_LOOP, admin_account="acct:0",
-                           income_rates={"acct:1": 250, "acct:2": 125},
-                           provider_accounts=("acct:3",))
+    incomes = {"acct:1": 250, "acct:2": 125}
     events = rejected = 0
     for _ in range(10_000):
         kind = rng.integers(0, 10)
         src, dst = rng.choice(len(ids), size=2, replace=False)
         try:
             if kind == 0:
-                apply_funding_policy(ledger, policy)
+                apply_funding_policy(ledger, "acct:0", incomes, ("acct:3",))
             elif kind == 1:
                 bank_transfer(ledger, ids[src], ids[dst],
                               -int(rng.integers(1, 100)))

@@ -25,7 +25,7 @@ from tycoon_sim.config import (
     validate_config,
 )
 from tycoon_sim.csvio import config_hash, emit_csv, format_field, read_csv
-from tycoon_sim.errors import ConfigError
+from tycoon_sim.errors import ConfigError, TycoonError
 from tycoon_sim.harness.agents import ParentJob
 from tycoon_sim.harness.scenario import ScenarioConfig
 from tycoon_sim.hostsim import (FundingMode, HostSimConfig, SchedulerKind,
@@ -309,6 +309,10 @@ BAD_DOCUMENTS = [
      {"harness": {"num_hosts": 1, "parents": [{"num_hosts": 2}]}}),
     ("host.web.service_demand", {"host": {"timeslice_length": 1e-300}}),
     ("host.web.service_demand", {"host": {"web": {"service_demand": 0.02}}}),
+    # A served request takes one whole slice, so a smaller demand was
+    # accepted and only rescaled the web server's intended share.
+    ("host.web.service_demand: 0.005 is not timeslice_length",
+     {"host": {"web": {"service_demand": 0.005}}}),
     # Slice counts that overflow a float.  The ids quote the message, which
     # keeps them apart from the other probes of the same fields.
     ("harness.duration: not a finite number of slices",
@@ -332,6 +336,36 @@ BAD_DOCUMENTS = [
      {"sweep": {"interarrivals": [1e-300]}}),
     ("harness.duration: more than", {"harness": {"duration": 1e300}}),
 ]
+
+
+# (field, config built in Python from one float) pairs whose validate()
+# once let NaN or an infinity through; a JSON document cannot hold them.
+NON_FINITE = [
+    ("max_weight", lambda x: MarketConfig(
+        max_weight=x, behavior=Behavior.STRATEGIC_NO_MARKET)),
+    ("mean_task_size", lambda x: MarketConfig(mean_task_size=x)),
+    ("weights", lambda x: HostSimConfig(weights=(1.0, x, 3.0))),
+    ("initial_funding_intervals",
+     lambda x: HostSimConfig(initial_funding_intervals=x)),
+    ("migration_overhead", lambda x: ScenarioConfig(migration_overhead=x)),
+    ("host_speeds[0]", lambda x: ScenarioConfig(host_speeds=(x,))),
+    ("kill_hosts[0][0]", lambda x: ScenarioConfig(kill_hosts=((x, 0),))),
+    ("total_credits",
+     lambda x: ScenarioConfig(parents=(ParentJob(total_credits=x),))),
+    ("performance_cost_threshold", lambda x: ScenarioConfig(
+        parents=(ParentJob(performance_cost_threshold=x),))),
+    ("interarrivals", lambda x: SweepConfig(interarrivals=(x,))),
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")], ids=str)
+@pytest.mark.parametrize("field,build", NON_FINITE,
+                         ids=[field for field, _ in NON_FINITE])
+def test_validate_rejects_non_finite_floats_naming_the_field(field, build,
+                                                             value):
+    with pytest.raises(TycoonError, match=re.escape(field)):
+        build(value).validate()
 
 
 def wrong_typed_fields():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -439,3 +440,29 @@ def test_cluster_lossy_tables_match_pinned_digests(tmp_path):
                      "--out", str(tmp_path)]) == 0
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in LOSSY_1001_DIGESTS} == LOSSY_1001_DIGESTS
+
+
+# sha256 of each table one open-loop run writes at seed 1.  Every other
+# pinned run is closed loop, so only this one covers the funding tick:
+# the admin's incomes, the drain of the providers and the settlements
+# on that tick.
+OPEN_LOOP_1_DIGESTS = {
+    "harness_users.csv":
+        "7590cdbfe0edf773df69d0492fd13c3a7f894e6b4b129460a22a90309aa65ddf",
+    "harness_hosts.csv":
+        "030d1c0f231b3e30e04c73d2c56f4b4324a021c99c9c262b535a6f554d44b23f",
+    "harness_events.csv":
+        "39b0677083417cd4f5f39dd2bc213d085e56b73c2f1132cad7a0097758d1ac3a",
+}
+
+
+def test_open_loop_tables_match_pinned_digests(tmp_path):
+    config = tmp_path / "open-loop.json"
+    config.write_text(json.dumps({"harness": {
+        "policy_kind": "open_loop", "message_latency": 0.015,
+        "drop_probability": 0.1}}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--experiment", "harness", "--config",
+                     str(config), "--seed", "1", "--out", str(out)]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in OPEN_LOOP_1_DIGESTS} == OPEN_LOOP_1_DIGESTS

@@ -19,7 +19,6 @@ from tycoon_sim.harness.agents import (
 from tycoon_sim.harness.bank import (
     MICRO,
     BankLedger,
-    FundingPolicy,
     PolicyKind,
     apply_funding_policy,
     bank_transfer,
@@ -117,26 +116,13 @@ def test_open_loop_policy_pays_incomes_and_drains_providers():
         for name in ("u1", "u2", "u3"):
             ledger.create_account(name)
         ledger.create_account("prov", 7)
-        policy = FundingPolicy(kind=PolicyKind.OPEN_LOOP,
-                               income_rates={"u1": 1, "u2": 2, "u3": 3},
-                               provider_accounts=("prov",))
-        assert apply_funding_policy(ledger, policy) == skipped
+        assert apply_funding_policy(ledger, "admin",
+                                    {"u1": 1, "u2": 2, "u3": 3},
+                                    ("prov",)) == skipped
         assert [ledger.balance(u) for u in ("u1", "u2", "u3")] == paid
         assert ledger.balance("prov") == 0
         assert ledger.balance("admin") == admin - sum(paid) + 7
         assert ledger.total_balance() == ledger.total_issued
-
-
-def test_closed_loop_policy_changes_nothing():
-    ledger = BankLedger()
-    ledger.create_account("admin", 100)
-    ledger.create_account("u1", 4)
-    before = dict(ledger.accounts)
-    apply_funding_policy(
-        ledger,
-        FundingPolicy(kind=PolicyKind.CLOSED_LOOP, income_rates={"u1": 1}),
-    )
-    assert ledger.accounts == before
 
 
 # -- agents -------------------------------------------------------------------

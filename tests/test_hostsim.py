@@ -96,6 +96,8 @@ def test_config_validate_rejects_bad_values():
         dict(web=WorkloadSpec(request_probability=1.5)),
         dict(web=WorkloadSpec(service_demand=0.0)),
         dict(web=WorkloadSpec(service_demand=0.011)),
+        # A served request takes the whole slice, whatever the demand.
+        dict(web=WorkloadSpec(service_demand=0.005)),
         dict(timeslice_length=1e-300),
         dict(web_intended_share=0.0),
         dict(funding_mean_interval=0.0),

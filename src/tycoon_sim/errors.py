@@ -17,15 +17,11 @@ class InvalidAmountError(TycoonError):
     """Negative or otherwise malformed credit amount."""
 
 
-class ReservationError(TycoonError):
-    """Base class for reservation rejections."""
-
-
-class CapacityRejection(ReservationError):
+class CapacityRejection(TycoonError):
     """Accepting the reservation would exceed the reserved-fraction cap."""
 
 
-class InsufficientHistoryError(ReservationError):
+class InsufficientHistoryError(TycoonError):
     """No clearing prices observed yet, so no quote can be computed."""
 
 
@@ -43,10 +39,6 @@ class UnknownAccountError(TycoonError):
 
 class UndefinedShareError(TycoonError):
     """An intended share of zero makes relative error undefined."""
-
-
-class NoRequestsError(TycoonError):
-    """Latency statistics requested but no request was ever served."""
 
 
 class ExpiredTaskError(TycoonError):

@@ -1,8 +1,9 @@
 """End-to-end scenario: parents fund children that bid on real hosts.
 
 Every host wraps the auction scheduler; every credit movement goes
-through the bank, with a per-child escrow account.  Hosts meter
-what each child spends and, on the advertise tick, report the
+through the bank, with a per-child escrow account.  An account is named
+by its party's network id, and an escrow by its child's key.  Hosts
+meter what each child spends and, on the advertise tick, report the
 *cumulative* spend of every escrow to the bank, which moves only what it
 has not moved yet: a lost or repeated report costs nothing, and the next
 one delivered heals it.  Parents provision hosts through the locator,
@@ -34,15 +35,6 @@ from .bank import (MICRO, BankLedger, PolicyKind, apply_funding_policy,
                    bank_transfer, credits_to_micro, micro_to_credits)
 from .messages import MessageKind, Network
 from .sls import ServiceLocator
-
-
-def _escrow_account(child_key: str) -> str:
-    """The bank account holding one child's funds.
-
-    A child lives on one host for its whole life, since a replacement
-    always gets a new key, so the key alone names the account.
-    """
-    return f"escrow:{child_key}"
 
 
 #: Longest run a scenario may ask for, in slices: about 11.6 days of
@@ -112,6 +104,17 @@ class ScenarioConfig:
                      "open_loop_income", "admin_pool"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name}: must be >= 0 and finite")
+        # The bank books integer micro-credits.
+        amounts = [("open_loop_income", self.open_loop_income),
+                   ("admin_pool", self.admin_pool)]
+        for i, job in enumerate(self.parents):
+            lump = parent_budget(job) * self.funding_chunk_minutes
+            amounts += [(f"parents[{i}].total_credits", job.total_credits),
+                        (f"parents[{i}] lump", lump)]
+        for name, amount in amounts:
+            if not math.isfinite(amount * MICRO):
+                raise ConfigError(f"{name}: {amount} credits overflow "
+                                  "integer micro-credits")
         if not 0 <= self.drop_probability < 1:
             raise ConfigError("drop_probability: must be in [0, 1)")
         if not 0 < self.refresh_fraction < 1:
@@ -168,7 +171,6 @@ class _HostNode:
     def __init__(self, sim, index: int):
         self.sim = sim
         self.host_id = f"host:{index}"
-        self.provider_account = f"provider:{index}"
         speed = (sim.config.host_speeds[index]
                  if index < len(sim.config.host_speeds) else 1.0)
         self._work_per_slice = speed * sim.config.timeslice_length
@@ -310,8 +312,7 @@ class _HostNode:
         if self.alive and (self.children or self._killed):
             self.sim.network.send(
                 self.sim.now, self.host_id, "bank", MessageKind.TRANSFER,
-                {"to": self.provider_account, "cumulative": self.metered(),
-                 "close": list(self._killed)})
+                {"cumulative": self.metered(), "close": list(self._killed)})
 
     def advertise(self) -> None:
         if self.alive:
@@ -329,11 +330,9 @@ class _ParentNode:
     def __init__(self, sim, index: int, job: ParentJob):
         self.sim = sim
         self.parent_id = f"parent:{index}"
-        self.account = f"user:{index}"
         self.job = job
-        self.rate_per_host_min = parent_budget(job)
         self.lump_micro = credits_to_micro(
-            self.rate_per_host_min * sim.config.funding_chunk_minutes)
+            parent_budget(job) * sim.config.funding_chunk_minutes)
         self.remaining_micro = credits_to_micro(job.total_credits)
         self.children: dict[str, ChildAgentState] = {}
         self.retired_progress = 0.0
@@ -342,14 +341,12 @@ class _ParentNode:
         self.funded_micro = 0
         self.reclaimed_micro = 0
         self._child_serial = 0
-        self._provisioned = False
 
     def handle(self, msg) -> None:
         kind, p = msg.kind, msg.payload
         if kind is MessageKind.LOOKUP_RESULT:
             self.known_hosts = p["hosts"]
-            if not self._provisioned and self.known_hosts:
-                self._provisioned = True
+            if not self._child_serial and self.known_hosts:
                 self._initial_placement()
         elif kind is MessageKind.PROGRESS_REPORT:
             child = self.children.get(p["child_key"])
@@ -392,8 +389,7 @@ class _ParentNode:
         self.funded_micro += self.lump_micro
         self.sim.network.send(self.sim.now, self.parent_id, "bank",
                               MessageKind.FUND_AUCTIONEER,
-                              {"parent_account": self.account,
-                               "host": host, "child_key": child_key,
+                              {"host": host, "child_key": child_key,
                                "amount": self.lump_micro})
 
     def monitor_query(self) -> None:
@@ -464,9 +460,8 @@ class _ParentNode:
 class _Escrow:
     """The bank's books on one child's escrow account."""
 
-    owner_account: str | None = None  # funded it; gets the remainder back
-    owner_id: str | None = None       # the parent told of that refund
-    moved: int = 0            # micro-credits already paid to the provider
+    owner: str | None = None  # the parent that funded it; gets the rest back
+    moved: int = 0            # micro-credits already paid to the host
     closed: bool = False
 
 
@@ -479,21 +474,18 @@ class _BankNode:
         self.escrows: dict[str, _Escrow] = {}
 
     def handle(self, msg) -> None:
-        p = msg.payload
+        kind, p = msg.kind, msg.payload
         ledger = self.sim.ledger
-        kind = msg.kind
         if kind is MessageKind.FUND_AUCTIONEER:
             key = p["child_key"]
-            escrow = _escrow_account(key)
             # Test the ledger, not self.escrows: a close may already have
             # booked a key whose funding was dropped, and its account
             # still has to be opened.
-            if escrow not in ledger.accounts:
-                ledger.create_account(escrow)
-                self.escrows[key] = _Escrow(p["parent_account"], msg.sender)
+            if key not in ledger.accounts:
+                ledger.create_account(key)
+                self.escrows[key] = _Escrow(msg.sender)
             try:
-                bank_transfer(ledger, p["parent_account"], escrow,
-                              p["amount"])
+                bank_transfer(ledger, msg.sender, key, p["amount"])
             except InsufficientBalanceError:
                 self.sim.rejected_transfers += 1
                 return
@@ -501,15 +493,15 @@ class _BankNode:
                                   MessageKind.FUND_AUCTIONEER,
                                   {"child_key": key, "amount": p["amount"]})
         elif kind is MessageKind.TRANSFER:
-            # Settlements first, so a host's close applies its final
-            # spend before the sweep.
+            # Settlements, paid to the reporting host, come first, so a
+            # host's close applies its final spend before the sweep.
             for key, total in p.get("cumulative", {}).items():
-                self._settle(key, p["to"], total)
+                self._settle(key, msg.sender, total)
             for key in p["close"]:
                 self._close(key)
 
-    def _settle(self, key: str, provider: str, total: int) -> None:
-        """Pay the provider up to `total`, the child's cumulative spend.
+    def _settle(self, key: str, host: str, total: int) -> None:
+        """Pay the host up to `total`, the child's cumulative spend.
 
         Only the part not moved yet moves: a duplicate or stale report
         moves nothing, and one after a lost report moves the whole gap.
@@ -519,8 +511,7 @@ class _BankNode:
         if books is None or books.closed or total <= books.moved:
             return
         try:
-            bank_transfer(self.sim.ledger, _escrow_account(key), provider,
-                          total - books.moved)
+            bank_transfer(self.sim.ledger, key, host, total - books.moved)
         except InsufficientBalanceError:
             self.sim.rejected_transfers += 1
             return
@@ -532,17 +523,15 @@ class _BankNode:
         if books.closed:
             return
         books.closed = True
-        if books.owner_account is None:
+        if books.owner is None:
             # Its funding was dropped, so the escrow never opened and
             # there is nothing to sweep.
             self.sim.rejected_transfers += 1
             return
-        escrow = _escrow_account(key)
-        amount = self.sim.ledger.balance(escrow)
+        amount = self.sim.ledger.balance(key)
         if amount:
-            bank_transfer(self.sim.ledger, escrow, books.owner_account,
-                          amount)
-            self.sim.network.send(self.sim.now, "bank", books.owner_id,
+            bank_transfer(self.sim.ledger, key, books.owner, amount)
+            self.sim.network.send(self.sim.now, "bank", books.owner,
                                   MessageKind.TRANSFER, {"amount": amount})
 
 
@@ -580,14 +569,14 @@ class HarnessSim:
 
         self.hosts = [_HostNode(self, i) for i in range(config.num_hosts)]
         for host in self.hosts:
-            self.ledger.create_account(host.provider_account)
+            self.ledger.create_account(host.host_id)
             self.network.register(host.host_id, host.handle)
 
         self.parents = [_ParentNode(self, i, job)
                         for i, job in enumerate(config.parents)]
         for parent in self.parents:
             self.ledger.create_account(
-                parent.account, credits_to_micro(parent.job.total_credits))
+                parent.parent_id, credits_to_micro(parent.job.total_credits))
             self.network.register(parent.parent_id, parent.handle)
 
         if config.policy_kind is PolicyKind.OPEN_LOOP:
@@ -599,11 +588,11 @@ class HarnessSim:
         cfg = self.config
         dt = cfg.timeslice_length
         total = int(round(cfg.duration / dt))
-        providers = [host.provider_account for host in self.hosts]
+        providers = [host.host_id for host in self.hosts]
         drained = dict.fromkeys(providers, 0)
         open_loop = cfg.policy_kind is PolicyKind.OPEN_LOOP
         income = credits_to_micro(cfg.open_loop_income)
-        incomes = {parent.account: income for parent in self.parents}
+        incomes = {parent.parent_id: income for parent in self.parents}
         advertise_every, monitor_every, funding_every = (
             max(1, round(interval / dt)) for interval in (
                 cfg.advertise_interval, cfg.monitor_interval,
@@ -637,7 +626,7 @@ class HarnessSim:
                 unpaid = apply_funding_policy(self.ledger, "admin", incomes,
                                               providers)
                 for parent in self.parents:
-                    if parent.account in unpaid:
+                    if parent.parent_id in unpaid:
                         parent.starvation_events += 1
                     else:
                         parent.remaining_micro += income
@@ -709,7 +698,7 @@ class HarnessSim:
                 "work_done": parent.work_done(),
                 "starvation_events": parent.starvation_events,
                 "bank_balance": micro_to_credits(
-                    self.ledger.balance(parent.account)),
+                    self.ledger.balance(parent.parent_id)),
             }
         per_host = {}
         unsettled = 0
@@ -717,11 +706,10 @@ class HarnessSim:
             for key, total in host.metered().items():
                 books = self.bank.escrows.get(key)
                 unsettled += total - (books.moved if books else 0)
-            revenue = self.ledger.balance(host.provider_account) \
-                + drained[host.provider_account]
             per_host[host.host_id] = {
                 "alive": host.alive,
-                "revenue_credits": micro_to_credits(revenue),
+                "revenue_credits": micro_to_credits(
+                    self.ledger.balance(host.host_id) + drained[host.host_id]),
                 "utilization": (host.slices_won / host.slices_alive
                                 if host.slices_alive else 0.0),
                 "slices_run": host.slices_won,

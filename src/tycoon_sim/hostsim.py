@@ -35,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, NoRequestsError
+from .errors import ConfigError
 from .sched import auction, proportional
 from .sched.types import AgentAccount, PriceMode, PSProcess, SchedulerConfig
 from .slices import _first_slice_at
@@ -80,13 +80,6 @@ class RequestRecord:
 
     arrival_time: float
     service_start_time: float | None = None
-
-    @property
-    def latency(self) -> float | None:
-        """Seconds from arrival until service began."""
-        if self.service_start_time is None:
-            return None
-        return self.service_start_time - self.arrival_time
 
 
 @dataclass
@@ -177,14 +170,6 @@ def gen_funding_events(
         if t >= duration:
             return events
         events.append((t, income_rate * gap))
-
-
-def measure_latency(records: list[RequestRecord]) -> float:
-    """Mean request latency in seconds over served requests."""
-    waits = [r.latency for r in records if r.latency is not None]
-    if not waits:
-        raise NoRequestsError("no request was served")
-    return sum(waits) / len(waits)
 
 
 class _WebQueue:
@@ -285,11 +270,8 @@ def _host_metrics(config, records, slice_counts) -> HostMetrics:
     dt = config.timeslice_length
     lo, hi = config.warmup_slices, config.num_timeslices
     in_window = [r for r in records if lo * dt <= r.arrival_time < hi * dt]
-    served = [r for r in in_window if r.latency is not None]
-    try:
-        latency = measure_latency(in_window)
-    except NoRequestsError:
-        latency = None
+    waits = [r.service_start_time - r.arrival_time for r in in_window
+             if r.service_start_time is not None]
 
     window = hi - lo
     busy = sum(slice_counts.values())
@@ -305,10 +287,10 @@ def _host_metrics(config, records, slice_counts) -> HostMetrics:
         web_weight_share=config.weights[0] / sum(config.weights),
         web_yields=config.web.yields_cpu,
         scheduling_error=error,
-        mean_latency=latency,
+        mean_latency=sum(waits) / len(waits) if waits else None,
         utilization=busy / window,
         per_process_shares=shares,
-        requests_served=len(served),
+        requests_served=len(waits),
         seed=config.rng_seed,
     )
 

@@ -16,6 +16,7 @@ unit.
 
 from dataclasses import dataclass
 from enum import Enum
+from sys import float_info
 
 import numpy as np
 
@@ -56,9 +57,10 @@ class MarketConfig:
     rng_seed: int = 42
 
     def validate(self) -> None:
+        # Unlike "< inf", this also rejects an integer no float can hold.
         for name in ("num_users", "num_hosts", "mean_task_interarrival",
                      "mean_task_size", "mean_task_deadline", "max_weight"):
-            if not 0 < getattr(self, name) < np.inf:
+            if not 0 < getattr(self, name) <= float_info.max:
                 raise InvalidSpecError(f"{name}: must be > 0 and finite")
         for name in ("duration", "income_rate", "initial_balance"):
             if not 0 <= getattr(self, name) < np.inf:
@@ -69,6 +71,19 @@ class MarketConfig:
             raise InvalidSpecError(
                 f"mean_task_interarrival: more than {MAX_EXPECTED_TASKS} "
                 "expected tasks (num_users * duration / interarrival)")
+        # A step scales each weight by num_hosts and sums the live ones,
+        # about MAX_EXPECTED_TASKS at most (twice that for the draw's
+        # spread).  A weight is at most 1, max_weight, or a budgeted
+        # balance, never above initial_balance + income_rate * duration.
+        bound = float_info.max / max(self.num_hosts, 2 * MAX_EXPECTED_TASKS)
+        for name, weight in (
+                ("max_weight", self.max_weight),
+                ("initial_balance + income_rate * duration",
+                 self.initial_balance + self.income_rate * self.duration)):
+            if not weight <= bound:
+                raise InvalidSpecError(
+                    f"{name}: {weight} is more than {bound}, the largest "
+                    "weight a step can sum without overflow")
 
     def draws_too_many(self, interarrival: float) -> bool:
         """Whether a run at ``interarrival`` expects more than

@@ -335,6 +335,22 @@ BAD_DOCUMENTS = [
     ("sweep.interarrivals[0]: more than",
      {"sweep": {"interarrivals": [1e-300]}}),
     ("harness.duration: more than", {"harness": {"duration": 1e300}}),
+    # Credit amounts that `run` then crashed converting to integer
+    # micro-credits.  The per-host rate 4 / (1 * 1e-308) is infinite, and
+    # so is the lump.
+    ("harness.parents[0].total_credits: 1e+303 credits overflow",
+     {"harness": {"parents": [{"total_credits": 1e303, "num_hosts": 1}]}}),
+    ("harness.parents[0] lump: inf credits overflow",
+     {"harness": {"parents": [{"deadline_minutes": 1e-308,
+                               "num_hosts": 1}]}}),
+    ("harness.admin_pool: 1e+303 credits overflow",
+     {"harness": {"policy_kind": "open_loop", "admin_pool": 1e303}}),
+    ("harness.open_loop_income: 1e+303 credits overflow",
+     {"harness": {"policy_kind": "open_loop", "open_loop_income": 1e303}}),
+    # A JSON integer no float can hold: `run` crashed making it the
+    # market's capacity.
+    ("market.num_hosts: must be > 0 and finite",
+     {"market": {"num_hosts": 10**400}}),
 ]
 
 
@@ -571,6 +587,22 @@ def test_figure1_table_matches_pinned_digest(tmp_path):
                      "--seeds", "1..3", "--out", str(out)]) == 0
     data = (out / "figure1.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == FIGURE1_PIN_SHA256
+
+
+# sha256 of table1.csv for seeds 1..30 of the default configuration,
+# config-hash line included.  It pins the latency and error columns the
+# one-host simulator reports.
+TABLE1_PIN_SHA256 = \
+    "dbc40e385a463317b59f0f00315399f68f46b07a8a456a698b83f81719b0ce28"
+
+
+def test_table1_table_matches_pinned_digest(tmp_path):
+    conf = write_json(tmp_path, {})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--experiment", "table1", "--config", conf,
+                     "--seeds", "1..30", "--out", str(out)]) == 0
+    data = (out / "table1.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == TABLE1_PIN_SHA256
 
 
 def test_table1_run_has_five_rows(tmp_path):

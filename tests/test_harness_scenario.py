@@ -58,11 +58,11 @@ def test_spend_equals_revenue_and_escrow_closes_the_books():
     sim = HarnessSim(cfg)
     report = sim.run()
     (child,) = sim.parents[0].children.values()
-    revenue_micro = sim.ledger.balance("provider:0")
+    revenue_micro = sim.ledger.balance("host:0")
     assert revenue_micro == math.floor(child.cost * MICRO)
     escrow_micro = sum(balance for account, balance
                        in sim.ledger.accounts.items()
-                       if account.startswith("escrow:"))
+                       if account in sim.bank.escrows)
     stats = report.per_parent["parent:0"]
     funded = credits_to_micro(stats["funded_credits"])
     reclaimed = credits_to_micro(stats["reclaimed_credits"])
@@ -83,10 +83,10 @@ def test_lossy_settlement_still_pays_the_provider_exactly():
     report = sim.run()
     ((key, seat),) = sim.hosts[0].children.items()
     assert report.messages_dropped > 0
-    revenue_micro = sim.ledger.balance("provider:0")
+    revenue_micro = sim.ledger.balance("host:0")
     assert revenue_micro == math.floor(seat.spent * MICRO)
-    assert sim.ledger.balance(f"escrow:{key}") \
-        + revenue_micro + sim.ledger.balance("user:0") \
+    assert sim.ledger.balance(key) \
+        + revenue_micro + sim.ledger.balance("parent:0") \
         == credits_to_micro(2.0)
     assert report.ledger_ok
 
@@ -105,8 +105,8 @@ def test_spend_a_killed_host_never_reported_goes_back_to_the_parent():
     (key, metered), = sim.hosts[victim].metered().items()
     moved = sim.bank.escrows[key].moved
     assert 0 < moved < metered
-    assert sim.ledger.balance(f"provider:{victim}") == moved
-    assert sim.ledger.balance(f"escrow:{key}") == 0
+    assert sim.ledger.balance(f"host:{victim}") == moved
+    assert sim.ledger.balance(key) == 0
     assert report.unsettled_micro == metered - moved
     assert report.per_parent["parent:0"]["reclaimed_credits"] > 0
     assert report.ledger_ok
@@ -214,7 +214,7 @@ def test_per_slice_audit_scenario():
 
 def test_per_slice_audit_trips_on_an_unbalanced_ledger():
     sim = HarnessSim(scenario(duration=1.0, audit_every_slice=True))
-    sim.ledger.accounts["provider:0"] += 1  # a credit nobody issued
+    sim.ledger.accounts["host:0"] += 1  # a credit nobody issued
     with pytest.raises(RuntimeError, match="balances sum to"):
         sim.run()
 

@@ -466,27 +466,25 @@ def test_no_ledger_write_falls_inside_a_window(monkeypatch):
 # -- cumulative settlement at the bank --------------------------------------
 
 
-CHILD = "parent:0/c0"
-ESCROW = f"escrow:{CHILD}"
+CHILD = "parent:0/c0"  # also the name of its escrow account
 
 
 def bank_with_escrow(lump):
     """A harness whose bank has opened CHILD's escrow with one lump from
-    user:0."""
+    parent:0."""
     sim = HarnessSim(ScenarioConfig(num_hosts=1, duration=1.0,
                                     parents=(ParentJob(num_hosts=1),)))
     sim.bank.handle(Message(
         delivery_time=0.0, sender="parent:0", seq=0, recipient="bank",
         kind=MessageKind.FUND_AUCTIONEER,
-        payload={"parent_account": "user:0", "host": "host:0",
-                 "child_key": CHILD, "amount": lump}))
+        payload={"host": "host:0", "child_key": CHILD, "amount": lump}))
     return sim
 
 
 def report(total, close=()):
     return Message(delivery_time=0.0, sender="host:0", seq=0,
                    recipient="bank", kind=MessageKind.TRANSFER,
-                   payload={"to": "provider:0", "cumulative": {CHILD: total},
+                   payload={"cumulative": {CHILD: total},
                             "close": list(close)})
 
 
@@ -495,8 +493,8 @@ def test_duplicate_and_stale_reports_move_nothing():
     sim.bank.handle(report(300))
     sim.bank.handle(report(300))
     sim.bank.handle(report(120))
-    assert sim.ledger.balance("provider:0") == 300
-    assert sim.ledger.balance(ESCROW) == MICRO - 300
+    assert sim.ledger.balance("host:0") == 300
+    assert sim.ledger.balance(CHILD) == MICRO - 300
     assert sim.rejected_transfers == 0
 
 
@@ -505,22 +503,22 @@ def test_report_after_a_lost_one_moves_the_whole_gap():
     sim.bank.handle(report(300))
     # report(450) was lost on the way.
     sim.bank.handle(report(700))
-    assert sim.ledger.balance("provider:0") == 700
+    assert sim.ledger.balance("host:0") == 700
     assert sim.bank.escrows[CHILD].moved == 700
 
 
 def test_close_settles_the_final_spend_before_the_sweep():
     sim = bank_with_escrow(MICRO)
-    user = sim.ledger.balance("user:0")
+    user = sim.ledger.balance("parent:0")
     sim.bank.handle(report(300))
     sim.bank.handle(report(700, close=[CHILD]))
-    assert sim.ledger.balance("provider:0") == 700
-    assert sim.ledger.balance(ESCROW) == 0
-    assert sim.ledger.balance("user:0") == user + MICRO - 700
+    assert sim.ledger.balance("host:0") == 700
+    assert sim.ledger.balance(CHILD) == 0
+    assert sim.ledger.balance("parent:0") == user + MICRO - 700
     # The host repeats its close until one gets through; repeats, and
     # reports that reach the closed escrow, move nothing.
     sim.bank.handle(report(700, close=[CHILD]))
     sim.bank.handle(report(900))
-    assert sim.ledger.balance("provider:0") == 700
+    assert sim.ledger.balance("host:0") == 700
     sim.network.pump(1.0)
     assert sim.parents[0].reclaimed_micro == MICRO - 700

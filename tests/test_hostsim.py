@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tycoon_sim import hostsim
-from tycoon_sim.errors import ConfigError, NoRequestsError
+from tycoon_sim.errors import ConfigError
 from tycoon_sim.hostsim import (
     FundingMode,
     HostSimConfig,
@@ -17,7 +17,6 @@ from tycoon_sim.hostsim import (
     WorkloadSpec,
     comparison_rows,
     gen_funding_events,
-    measure_latency,
     run_host_sim,
 )
 from tycoon_sim.sched import auction, proportional
@@ -69,19 +68,30 @@ def record(arrival, start=None):
     return rec
 
 
+def metrics_for(records):
+    """The metrics row for hand-built records, all inside the window
+    [0.5, 4.0) seconds that ``SMALL`` measures."""
+    config = HostSimConfig(**SMALL)
+    return hostsim._host_metrics(
+        config, records, dict.fromkeys(range(len(config.weights)), 1))
+
+
 def test_latency_is_wait_until_service_starts():
-    served = record(0.005, start=0.010)
-    assert measure_latency([served]) == pytest.approx(0.005)
+    served = record(1.005, start=1.010)
+    assert metrics_for([served]).mean_latency == pytest.approx(0.005)
 
 
 def test_latency_averages_only_served_requests():
-    reqs = [record(0.0, start=0.010), record(0.5, start=0.540), record(0.9)]
-    assert measure_latency(reqs) == pytest.approx((0.010 + 0.040) / 2)
+    reqs = [record(1.0, start=1.010), record(1.5, start=1.540), record(1.9)]
+    metrics = metrics_for(reqs)
+    assert metrics.mean_latency == pytest.approx((0.010 + 0.040) / 2)
+    assert metrics.requests_served == 2
 
 
 def test_latency_requires_a_served_request():
-    with pytest.raises(NoRequestsError):
-        measure_latency([record(0.1)])
+    metrics = metrics_for([record(1.1)])
+    assert metrics.mean_latency is None
+    assert metrics.requests_served == 0
 
 
 # -- configuration --------------------------------------------------------

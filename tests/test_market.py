@@ -1,6 +1,7 @@
 """Market simulation: budgets, water-filling, utility accounting."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from tycoon_sim import cli, market
 from tycoon_sim.errors import ExpiredTaskError, InvalidSpecError
 from tycoon_sim.market import (
+    MAX_EXPECTED_TASKS,
     Behavior,
     MarketConfig,
     MarketSim,
@@ -529,3 +531,30 @@ def test_config_validation():
     with pytest.raises(InvalidSpecError):
         MarketConfig(mean_task_interarrival=0.0).validate()
     MarketConfig().validate()
+
+
+# The largest weight a step may scale by num_hosts (here below 2e6) and
+# sum over about MAX_EXPECTED_TASKS live tasks, with room for twice that.
+WEIGHT_BOUND = sys.float_info.max / (2 * MAX_EXPECTED_TASKS)
+
+
+@pytest.mark.parametrize("behavior,field,per_weight", [
+    (Behavior.STRATEGIC_NO_MARKET, "max_weight", 1.0),
+    # A budgeted weight is at most the balance, income_rate * duration.
+    (Behavior.STRATEGIC_MARKET, "income_rate", 1.0 / 150),
+], ids=["max_weight", "income_rate"])
+def test_weights_that_could_overflow_a_step_are_rejected(behavior, field,
+                                                         per_weight):
+    # Above the bound validation names the field; just below it the run
+    # gives the utility of unit magnitudes.  Once, 1e308 passed and gave a
+    # silently wrong utility.
+    base = small_config(behavior=behavior, rng_seed=1)
+    above = dataclasses.replace(
+        base, **{field: WEIGHT_BOUND * per_weight * (1 + 1e-9)})
+    with pytest.raises(InvalidSpecError, match=field):
+        above.validate()
+    below = dataclasses.replace(
+        base, **{field: WEIGHT_BOUND * per_weight * (1 - 1e-9)})
+    assert run_market_sim(below).mean_utility_per_host_per_time_unit \
+        == pytest.approx(run_market_sim(base)
+                         .mean_utility_per_host_per_time_unit)

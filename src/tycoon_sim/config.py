@@ -61,8 +61,8 @@ _TOP_KEYS = ("seeds", "repetitions", "host", "market", "harness", "sweep")
 # down to well past the saturation point at 100.
 DEFAULT_SWEEP_INTERARRIVALS = (140.0, 120.0, 100.0, 80.0, 60.0, 50.0, 40.0, 20.0)
 
-#: Replicates shift every listed seed by this stride so replicate runs
-#: never collide with the listed seeds themselves.
+#: Replicates shift every listed seed by this stride; a seed list whose
+#: replicates would meet another listed seed is rejected.
 REPETITION_SEED_STRIDE = 1000
 
 
@@ -211,7 +211,32 @@ def default_seeds(experiment: Experiment) -> list[int]:
     return [42]
 
 
+def _check_distinct_seeds(seeds, repetitions: int) -> None:
+    """Raise ConfigError if a seed would run twice: its rows would repeat
+    and count twice in every mean.
+
+    Replicate ``r`` of seed ``a`` is ``a + r * REPETITION_SEED_STRIDE``,
+    so two listed seeds meet when they lie fewer than ``repetitions``
+    whole strides apart.
+    """
+    stride = REPETITION_SEED_STRIDE
+    below = {}  # seed % stride -> the largest listed seed so far with it
+    for seed, i in sorted((seed, i) for i, seed in enumerate(seeds)):
+        lower = below.get(seed % stride)
+        if lower == seed:
+            raise ConfigError(f"invalid seeds[{i}]: seed {seed} is listed "
+                              "twice")
+        if lower is not None and seed - lower < repetitions * stride:
+            raise ConfigError(
+                f"invalid repetitions: replicate {(seed - lower) // stride} "
+                f"of seed {lower} is seed {seed}, which is listed too")
+        below[seed % stride] = seed
+
+
 def effective_seeds(seeds: list[int], repetitions: int) -> list[int]:
+    """The listed seeds, then each replicate's; a seed that would run
+    twice raises ConfigError."""
+    _check_distinct_seeds(seeds, repetitions)
     out = []
     for rep in range(repetitions):
         out.extend(s + rep * REPETITION_SEED_STRIDE for s in seeds)
@@ -229,8 +254,10 @@ def validate_config(doc: dict) -> None:
     for i, seed in enumerate(seeds):
         if seed < 0:
             raise ConfigError(f"invalid seeds[{i}]: must be >= 0")
-    if _value(int, doc.get("repetitions", 1), "repetitions") < 1:
+    repetitions = _value(int, doc.get("repetitions", 1), "repetitions")
+    if repetitions < 1:
         raise ConfigError("invalid repetitions: must be >= 1")
+    _check_distinct_seeds(seeds, repetitions)
     build_host_config(doc.get("host", {}))
     market = build_market_config(doc.get("market", {}))
     build_harness_config(doc.get("harness", {}))

@@ -41,6 +41,13 @@ from .sls import ServiceLocator
 #: 10 ms slices.
 MAX_SLICES = 100_000_000
 
+#: Largest cluster a scenario may ask for.  The run builds every host up
+#: front, at about 2 KB each, and a busy host's auction keeps up to 1,000
+#: clearing prices, about 32 KB more, so the hosts stay under about
+#: 350 MB; an unbounded count passed validation and then ran out of
+#: memory building them.
+MAX_HOSTS = 10_000
+
 
 @dataclass
 class ScenarioConfig:
@@ -100,6 +107,8 @@ class ScenarioConfig:
                 raise ConfigError(f"{name}: not a finite number of slices")
         if self.duration / self.timeslice_length > MAX_SLICES:
             raise ConfigError(f"duration: more than {MAX_SLICES} slices")
+        if self.num_hosts > MAX_HOSTS:
+            raise ConfigError(f"num_hosts: more than {MAX_HOSTS} hosts")
         for name in ("message_latency", "migration_overhead",
                      "open_loop_income", "admin_pool"):
             if not 0 <= getattr(self, name) < math.inf:
@@ -187,7 +196,10 @@ class _HostNode:
         # Key of every child killed here -> its final metered spend.
         self._killed: dict[str, int] = {}
         self.slices_alive = 0
-        self.slices_won = 0
+
+    @property
+    def slices_won(self) -> int:  # the name perfbench/spans.py reads
+        return self.sched.slice_index
 
     def _ensure_child(self, child_key: str) -> _Seat:
         # Funding can arrive ahead of the spawn message; open the seat
@@ -273,8 +285,8 @@ class _HostNode:
             rounds = end - k0
             self.slices_alive += rounds
             # With nobody bidding no round is held, so the scheduler's
-            # slice_index counts only the rounds held; the harness never
-            # reads it.  Hosts sell no reservations, so every round held
+            # slice_index counts only the rounds held: the report's
+            # slices_run.  Hosts sell no reservations, so every round held
             # has a winner.
             if sched.heap:
                 if rounds == 1:
@@ -282,7 +294,6 @@ class _HostNode:
                     winners, payments = (result.winner,), (result.payment,)
                 else:
                     winners, payments = sched.run_rounds(rounds)
-                self.slices_won += rounds
                 for winner, payment in zip(winners, payments):
                     # Only seated, activated agents are runnable, so the
                     # winner has a seat.
@@ -710,9 +721,9 @@ class HarnessSim:
                 "alive": host.alive,
                 "revenue_credits": micro_to_credits(
                     self.ledger.balance(host.host_id) + drained[host.host_id]),
-                "utilization": (host.slices_won / host.slices_alive
+                "utilization": (host.sched.slice_index / host.slices_alive
                                 if host.slices_alive else 0.0),
-                "slices_run": host.slices_won,
+                "slices_run": host.sched.slice_index,
             }
         return ScenarioReport(
             per_parent=per_parent,

@@ -12,6 +12,7 @@ reserved fraction on target over its period.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -143,8 +144,8 @@ class AuctionShareScheduler:
             self.heap.remove(agent_id)
 
     def fund(self, agent_id, amount: float) -> None:
-        """Deposit credits into the agent's account."""
-        if amount < 0:
+        """Deposit a finite, non-negative amount into the agent's account."""
+        if not 0 <= amount < math.inf:
             raise InvalidAmountError(f"cannot deposit {amount}")
         account = self.accounts[agent_id]
         account.balance += amount

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import math
+import statistics
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -72,59 +72,35 @@ class Reservation:
 class PriceStats:
     """Sliding window of recent clearing prices.
 
-    Each observed price is folded into running sums at once, so mean and
-    sample stddev (0.0 below two prices) are O(1) to read.  The sums are
-    of price minus the first price observed: raw sums of squares near 1e6
-    cancel to a few digits in sumsq - sum**2 / n; shifted ones stay the
-    size of the spread.
+    The window keeps the raw prices.  Mean and sample stddev (0.0 below
+    two prices) are ``statistics.fmean`` and ``statistics.stdev`` of it,
+    computed only when read; only a reservation quote reads them.
     """
 
     def __init__(self, window_size: int = 1000):
-        if window_size < 1:
-            raise ValueError("window_size must be positive")
-        self.window_size = window_size
-        self._shift = 0.0
-        self._window: deque[float] = deque()  # price - self._shift
-        self._sum = 0.0
-        self._sumsq = 0.0
+        if type(window_size) is not int or window_size < 1:
+            raise ValueError(
+                f"window_size must be an int >= 1, got {window_size!r}")
+        self._window: deque[float] = deque(maxlen=window_size)
 
     def __len__(self) -> int:
         return len(self._window)
 
     def observe(self, price: float) -> None:
         """Append one clearing price."""
-        self.observe_many([price])
+        self._window.append(price)
 
     def observe_many(self, prices: list[float]) -> None:
         """Append ``prices`` in order; the window keeps the newest."""
-        window, size = self._window, self.window_size
-        shift, total, sumsq = self._shift, self._sum, self._sumsq
-        for price in prices:
-            if len(window) == size:
-                old = window.popleft()
-                total -= old
-                sumsq -= old * old
-            elif not window:
-                shift = price
-            delta = price - shift
-            window.append(delta)
-            total += delta
-            sumsq += delta * delta
-        self._shift, self._sum, self._sumsq = shift, total, sumsq
+        self._window.extend(prices)
 
     @property
     def mean(self) -> float:
-        if not self._window:
-            return 0.0
-        return self._shift + self._sum / len(self._window)
+        return statistics.fmean(self._window) if self._window else 0.0
 
     @property
     def stddev(self) -> float:
-        n = len(self._window)
-        if n < 2:
-            return 0.0
-        var = (self._sumsq - self._sum * self._sum / n) / (n - 1)
-        return math.sqrt(max(var, 0.0))
+        return statistics.stdev(self._window) if len(self._window) > 1 else 0.0
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,12 @@
 """Auction clearing, charging, price statistics, and reservations."""
 
-import collections
 import math
 import statistics
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tycoon_sim.errors import (
@@ -172,15 +171,19 @@ def test_round_rejects_a_winner_without_request():
             sched.run_slice()
 
 
-def test_fund_rejects_negative():
+def test_fund_rejects_negative_and_non_finite():
     sched = AuctionShareScheduler(FIRST)
     acct = account(0, 1.0)
     sched.add_agent(acct)
     sched.fund(0, 2.5)
     assert acct.balance == 3.5
-    with pytest.raises(InvalidAmountError):
-        sched.fund(0, -0.1)
+    # A NaN balance stops the agent winning; an infinite one makes the
+    # next payment, and the clearing prices after it, infinite.
+    for amount in (-0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidAmountError):
+            sched.fund(0, amount)
     assert acct.balance == 3.5
+    assert sched.run_slice().payment == 3.5
 
 
 # -- price statistics -----------------------------------------------------
@@ -195,8 +198,8 @@ def test_price_stats_match_recomputation():
         stats.observe(price)
         seen.append(price)
     window = seen[-1000:]
-    assert stats.mean == pytest.approx(statistics.fmean(window), abs=1e-9)
-    assert stats.stddev == pytest.approx(statistics.stdev(window), abs=1e-9)
+    assert stats.mean == statistics.fmean(window)
+    assert stats.stddev == statistics.stdev(window)
 
 
 def test_price_stats_stay_exact_far_from_zero():
@@ -209,42 +212,16 @@ def test_price_stats_stay_exact_far_from_zero():
         for price in prices:
             stats.observe(price)
         window = prices[-256:]
-        assert stats.mean == pytest.approx(statistics.fmean(window),
-                                           rel=1e-12)
-        assert stats.stddev == pytest.approx(statistics.stdev(window),
-                                             rel=1e-9)
+        assert stats.mean == statistics.fmean(window)
+        assert stats.stddev == statistics.stdev(window)
 
 
-class EagerPriceStats:
-    """The same fold as PriceStats, written out once more as a reference."""
-
-    def __init__(self, window_size):
-        self.window_size = window_size
-        self.shift = 0.0
-        self.window = collections.deque()
-        self.sum = 0.0
-        self.sumsq = 0.0
-
-    def observe(self, price):
-        window = self.window
-        if len(window) == self.window_size:
-            old = window.popleft()
-            self.sum -= old
-            self.sumsq -= old * old
-        elif not window:
-            self.shift = price
-        delta = price - self.shift
-        window.append(delta)
-        self.sum += delta
-        self.sumsq += delta * delta
-
-    def read(self):
-        n = len(self.window)
-        mean = self.shift + self.sum / n if n else 0.0
-        if n < 2:
-            return n, mean, 0.0
-        var = (self.sumsq - self.sum * self.sum / n) / (n - 1)
-        return n, mean, math.sqrt(max(var, 0.0))
+def stdlib_read(window):
+    """(len, mean, stddev) of ``window`` from the standard library; the
+    mean is 0.0 with no price and the stddev 0.0 below two."""
+    n = len(window)
+    return (n, statistics.fmean(window) if n else 0.0,
+            statistics.stdev(window) if n > 1 else 0.0)
 
 
 @st.composite
@@ -263,26 +240,29 @@ def price_streams(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(price_streams())
-def test_price_stats_read_as_the_reference_fold(case):
+# A running fold of the window reads this stddev one ulp off.
+@example((3, [0.0, 0.0, 1e-06]))
+def test_price_stats_read_as_the_standard_library(case):
     window, stream = case
-    single, eager = PriceStats(window_size=window), EagerPriceStats(window)
+    single = PriceStats(window_size=window)
     # One observe_many per run of prices between two reads, and one for
     # the whole stream.
     bulk, whole = PriceStats(window_size=window), PriceStats(window_size=window)
-    run = []
+    seen, run = [], []
     for price in stream + [None]:
         if price is None:
             bulk.observe_many(run)
             run = []
-            read = eager.read()
+            read = stdlib_read(seen[-window:])
             assert (len(single), single.mean, single.stddev) == read
             assert (len(bulk), bulk.mean, bulk.stddev) == read
         else:
             single.observe(price)
-            eager.observe(price)
+            seen.append(price)
             run.append(price)
-    whole.observe_many([price for price in stream if price is not None])
-    assert (len(whole), whole.mean, whole.stddev) == eager.read()
+    whole.observe_many(seen)
+    assert (len(whole), whole.mean, whole.stddev) == stdlib_read(
+        seen[-window:])
 
 
 def test_price_stats_small_windows():
@@ -292,8 +272,28 @@ def test_price_stats_small_windows():
     stats.observe(4.0)
     assert stats.mean == 4.0
     assert stats.stddev == 0.0  # a lone sample has no spread
-    with pytest.raises(ValueError):
-        PriceStats(window_size=0)
+    # A float window never evicted, and True acted as a window of 1.
+    for size in (0, -1, 2.5, math.nan, True):
+        with pytest.raises(ValueError):
+            PriceStats(window_size=size)
+
+
+def test_scheduler_prices_window_the_last_thousand_payments():
+    # Single rounds and held stretches, mixed, past the 1000-price window:
+    # both must observe every payment, in round order.
+    sched = AuctionShareScheduler(FIRST)
+    for agent_id, balance in enumerate((900.0, 700.0, 500.0)):
+        sched.add_agent(account(agent_id, balance, 10.0))
+    payments = []
+    for n in (1, 7, 1, 1, 300, 1, 450, 2, 1, 600):
+        if n == 1:
+            payments.append(sched.run_slice().payment)
+        else:
+            payments += sched.run_rounds(n)[1]
+    assert len(payments) > 1000
+    stats = sched.price_stats
+    assert (len(stats), stats.mean, stats.stddev) == stdlib_read(
+        payments[-1000:])
 
 
 # -- reservations ---------------------------------------------------------

@@ -238,6 +238,44 @@ def test_seed_defaults_and_repetitions():
     assert default_seeds(Experiment.HOST) == [42]
     assert effective_seeds([1, 2], 1) == [1, 2]
     assert effective_seeds([1, 2], 3) == [1, 2, 1001, 1002, 2001, 2002]
+    assert effective_seeds([5, 999, 1998], 2) == [5, 999, 1998,
+                                                 1005, 1999, 2998]
+    assert effective_seeds([7, 2007], 2) == [7, 2007, 1007, 3007]
+    assert effective_seeds([1, 1001], 1) == [1, 1001]
+    with pytest.raises(ConfigError, match="repetitions"):
+        effective_seeds([1, 2, 2001], 3)
+    with pytest.raises(ConfigError, match=re.escape("seeds[2]")):
+        effective_seeds([4, 5, 4], 1)
+
+
+# Seed lists whose effective seeds repeat: the repeated seed's rows were
+# written twice and counted twice in every mean.
+REPEATED_SEEDS = [
+    ("repetitions",
+     {"seeds": [1, 1001], "repetitions": 2, "host": {"num_timeslices": 300}},
+     []),
+    ("seeds[1]", {"seeds": [3, 3]}, []),
+    ("repetitions", {"repetitions": 2, "host": {"num_timeslices": 300}},
+     ["--seeds", "1..1500"]),
+]
+
+
+@pytest.mark.parametrize("field,doc,flags", REPEATED_SEEDS,
+                         ids=[f"{field}-{i}" for i, (field, _, _)
+                              in enumerate(REPEATED_SEEDS)])
+def test_repeated_effective_seeds_exit_2_naming_the_field(tmp_path, capsys,
+                                                           field, doc, flags):
+    conf = write_json(tmp_path, doc)
+    out = tmp_path / "out"
+    if not flags:
+        # The --seeds range is the command line's, so validate has no
+        # effective seed list to check.
+        assert cli.main(["validate", "--config", conf]) == 2
+        assert field in capsys.readouterr().err
+    assert cli.main(["run", "--experiment", "host", "--config", conf,
+                     "--out", str(out), *flags]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_resolved_config_is_stable_and_complete():
@@ -351,6 +389,9 @@ BAD_DOCUMENTS = [
     # market's capacity.
     ("market.num_hosts: must be > 0 and finite",
      {"market": {"num_hosts": 10**400}}),
+    # `run` once set out to build every one of these hosts.  Validation
+    # now stops both commands before a host is built.
+    ("harness.num_hosts: more than", {"harness": {"num_hosts": 10**11}}),
 ]
 
 

@@ -351,7 +351,7 @@ def test_seat_killed_before_activation_never_enters_the_heap():
     host.run_slices(20, 100)
     assert pushed == []
     assert agent_id not in host.sched.heap
-    assert host.slices_won == 0
+    assert host.sched.slice_index == 0
 
 
 def test_seats_due_in_one_slice_enter_the_heap_in_open_order():
@@ -393,7 +393,7 @@ def test_seats_due_inside_a_window_enter_the_heap_on_their_slice():
     assert pushed == [second, first]
     assert entered == {second: 11, first: 57}
     assert host.slices_alive == 100
-    assert host.slices_won == 100 - 11
+    assert host.sched.slice_index == 100 - 11
 
 
 def test_idle_host_counts_its_slices_and_holds_no_round():
@@ -410,7 +410,7 @@ def test_idle_host_counts_its_slices_and_holds_no_round():
     host.handle(to_host(MessageKind.SPAWN_CHILD, child_key="p/c0",
                         activate_at=5.0))
     host.run_slices(60, 100)
-    assert (host.slices_alive, host.slices_won, rounds) == (100, 0, [])
+    assert (host.slices_alive, host.sched.slice_index, rounds) == (100, 0, [])
 
 
 def test_dead_host_runs_no_slices():

@@ -51,6 +51,9 @@ def _parse_seed_range(text: str) -> list[int]:
         raise ConfigError(f"--seeds range {text!r} is empty")
     if a < 0:
         raise ConfigError(f"--seeds wants bounds >= 0, got {text!r}")
+    if b - a >= cfg.MAX_SEEDS:
+        raise ConfigError(
+            f"--seeds range {text!r} has more than {cfg.MAX_SEEDS} seeds")
     return list(range(a, b + 1))
 
 
@@ -62,17 +65,19 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return statistics.fmean(values), statistics.stdev(values)
 
 
-def _host_row(metrics) -> list:
-    return [metrics.scheduler, metrics.web_weight_share, metrics.web_yields,
-            metrics.scheduling_error, metrics.mean_latency_ms,
-            metrics.utilization, metrics.seed]
+def _host_labels(config) -> tuple:
+    """(scheduler, web_share, yields): the columns a host row's config sets."""
+    return (config.scheduler.value, config.weights[0] / sum(config.weights),
+            config.web.yields_cpu)
 
 
 def _run_host(doc, seeds) -> list[tuple]:
     rows = []
     for seed in seeds:
-        metrics = run_host_sim(cfg.build_host_config(doc.get("host", {}), seed))
-        rows.append(_host_row(metrics))
+        config = cfg.build_host_config(doc.get("host", {}), seed)
+        metrics = run_host_sim(config)
+        rows.append([*_host_labels(config), metrics.scheduling_error,
+                     metrics.mean_latency_ms, metrics.utilization, seed])
     return [("host.csv", HOST_HEADER, rows, ())]
 
 
@@ -84,8 +89,7 @@ def _run_table1(doc, seeds) -> list[tuple]:
         base = cfg.build_host_config(doc.get("host", {}), seed)
         for label, row_cfg in comparison_rows(base):
             metrics = run_host_sim(row_cfg)
-            meta[label] = (metrics.scheduler, metrics.web_weight_share,
-                           metrics.web_yields)
+            meta[label] = _host_labels(row_cfg)
             errors.setdefault(label, []).append(metrics.scheduling_error)
             if metrics.mean_latency_ms is not None:
                 latencies.setdefault(label, []).append(metrics.mean_latency_ms)

@@ -32,6 +32,7 @@ from .hostsim import HostSimConfig
 from .market import MAX_EXPECTED_TASKS, Behavior, MarketConfig
 
 __all__ = [
+    "MAX_SEEDS",
     "Experiment",
     "SweepConfig",
     "apply_overrides",
@@ -64,6 +65,12 @@ DEFAULT_SWEEP_INTERARRIVALS = (140.0, 120.0, 100.0, 80.0, 60.0, 50.0, 40.0, 20.0
 #: Replicates shift every listed seed by this stride; a seed list whose
 #: replicates would meet another listed seed is rejected.
 REPETITION_SEED_STRIDE = 1000
+
+#: Most effective seeds (listed seeds x repetitions) a run may ask for.
+#: The run builds its seed list up front and every CSV's config hash
+#: covers it, about 13 MB at this bound before the first simulation; an
+#: unbounded count passed validation and then ran out of memory.
+MAX_SEEDS = 100_000
 
 
 @dataclasses.dataclass
@@ -211,6 +218,16 @@ def default_seeds(experiment: Experiment) -> list[int]:
     return [42]
 
 
+def _check_seed_count(listed: int, repetitions: int) -> None:
+    """Raise ConfigError if ``listed`` seeds run ``repetitions`` times
+    each would exceed MAX_SEEDS; checked before any seed list is built."""
+    if listed * repetitions > MAX_SEEDS:
+        where = "repetitions" if repetitions > 1 else "seeds"
+        raise ConfigError(
+            f"invalid {where}: {listed} seeds x {repetitions} repetitions "
+            f"is more than {MAX_SEEDS} runs")
+
+
 def _check_distinct_seeds(seeds, repetitions: int) -> None:
     """Raise ConfigError if a seed would run twice: its rows would repeat
     and count twice in every mean.
@@ -235,7 +252,8 @@ def _check_distinct_seeds(seeds, repetitions: int) -> None:
 
 def effective_seeds(seeds: list[int], repetitions: int) -> list[int]:
     """The listed seeds, then each replicate's; a seed that would run
-    twice raises ConfigError."""
+    twice, or more than MAX_SEEDS of them, raise ConfigError."""
+    _check_seed_count(len(seeds), repetitions)
     _check_distinct_seeds(seeds, repetitions)
     out = []
     for rep in range(repetitions):
@@ -257,6 +275,7 @@ def validate_config(doc: dict) -> None:
     repetitions = _value(int, doc.get("repetitions", 1), "repetitions")
     if repetitions < 1:
         raise ConfigError("invalid repetitions: must be >= 1")
+    _check_seed_count(max(len(seeds), 1), repetitions)
     _check_distinct_seeds(seeds, repetitions)
     build_host_config(doc.get("host", {}))
     market = build_market_config(doc.get("market", {}))

@@ -18,7 +18,6 @@ __all__ = [
     "config_hash",
     "emit_csv",
     "format_field",
-    "read_csv",
 ]
 
 
@@ -65,24 +64,3 @@ def emit_csv(path, header: list[str], rows, config: dict,
         writer.writerow([format_field(v) for v in row])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(buf.getvalue())
-
-
-def read_csv(path) -> tuple[str, list[str], list[list[str]]]:
-    """Parse back an emitted table: (config hash, header, string rows).
-
-    Comment lines other than the config hash are skipped.  Values come
-    back as the printed strings; callers reparse numerics themselves.
-    """
-    digest = ""
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = []
-        for line in fh:
-            if line.startswith("# "):
-                if line.startswith("# config-hash: "):
-                    digest = line[len("# config-hash: "):].strip()
-                continue
-            lines.append(line)
-    parsed = list(csv.reader(lines))
-    if not parsed:
-        raise ValueError(f"{path} has no header row")
-    return digest, parsed[0], parsed[1:]

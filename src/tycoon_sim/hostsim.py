@@ -135,15 +135,11 @@ class HostSimConfig:
 
 @dataclass
 class HostMetrics:
-    scheduler: str
-    web_weight_share: float
-    web_yields: bool
     scheduling_error: float
     mean_latency: float | None
     utilization: float
     per_process_shares: dict = field(default_factory=dict)
     requests_served: int = 0
-    seed: int = 0
 
     @property
     def mean_latency_ms(self) -> float | None:
@@ -283,15 +279,11 @@ def _host_metrics(config, records, slice_counts) -> HostMetrics:
     error = proportional.scheduling_error(actual, intended)
 
     return HostMetrics(
-        scheduler=config.scheduler.value,
-        web_weight_share=config.weights[0] / sum(config.weights),
-        web_yields=config.web.yields_cpu,
         scheduling_error=error,
         mean_latency=sum(waits) / len(waits) if waits else None,
         utilization=busy / window,
         per_process_shares=shares,
         requests_served=len(waits),
-        seed=config.rng_seed,
     )
 
 

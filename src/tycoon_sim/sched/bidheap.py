@@ -3,8 +3,9 @@
 The scheduler needs the highest bid in O(1) and bid updates in O(log n)
 when a winner is charged or an account funded.  ``heapq`` cannot re-key an
 arbitrary entry, so this keeps an id -> position index alongside the heap
-array.  Every entry-vs-entry ordering test bumps ``comparisons`` so tests
-can assert logarithmic growth directly.
+array.  Every entry-vs-entry ordering test goes through ``_before``,
+which bumps ``comparisons``, so tests can assert logarithmic growth
+directly.
 
 Ordering: higher bid first; equal bids fall back to the lower agent id, so
 results are deterministic and reproducible.
@@ -33,62 +34,32 @@ class BidHeap:
             return self._bids[i] > self._bids[j]
         return self._ids[i] < self._ids[j]
 
-    # The sifts inline ``_before`` on local lists and carry the moving
-    # entry in a hole, writing it once where it comes to rest.  Each
-    # entry-vs-entry test counts one comparison, as ``_before`` does.
+    def _swap(self, i: int, j: int) -> None:
+        ids, bids = self._ids, self._bids
+        ids[i], ids[j] = ids[j], ids[i]
+        bids[i], bids[j] = bids[j], bids[i]
+        self._pos[ids[i]] = i
+        self._pos[ids[j]] = j
 
     def _sift_up(self, i: int) -> None:
-        ids, bids, pos = self._ids, self._bids, self._pos
-        agent, bid = ids[i], bids[i]
-        tests = 0
         while i > 0:
             parent = (i - 1) >> 1
-            parent_bid = bids[parent]
-            tests += 1
-            if not (bid > parent_bid if bid != parent_bid
-                    else agent < ids[parent]):
-                break
-            ids[i] = moved = ids[parent]
-            bids[i] = parent_bid
-            pos[moved] = i
+            if not self._before(i, parent):
+                return
+            self._swap(i, parent)
             i = parent
-        ids[i] = agent
-        bids[i] = bid
-        pos[agent] = i
-        self.comparisons += tests
 
     def _sift_down(self, i: int) -> None:
-        ids, bids, pos = self._ids, self._bids, self._pos
-        n = len(ids)
-        agent, bid = ids[i], bids[i]
-        tests = 0
+        n = len(self._ids)
         while True:
-            left = 2 * i + 1
-            if left >= n:
-                break
-            best, best_id, best_bid = i, agent, bid
-            child_bid = bids[left]
-            tests += 1
-            if (child_bid > best_bid if child_bid != best_bid
-                    else ids[left] < best_id):
-                best, best_id, best_bid = left, ids[left], child_bid
-            right = left + 1
-            if right < n:
-                child_bid = bids[right]
-                tests += 1
-                if (child_bid > best_bid if child_bid != best_bid
-                        else ids[right] < best_id):
-                    best, best_id, best_bid = right, ids[right], child_bid
+            best = i
+            for child in (2 * i + 1, 2 * i + 2):
+                if child < n and self._before(child, best):
+                    best = child
             if best == i:
-                break
-            ids[i] = best_id
-            bids[i] = best_bid
-            pos[best_id] = i
+                return
+            self._swap(i, best)
             i = best
-        ids[i] = agent
-        bids[i] = bid
-        pos[agent] = i
-        self.comparisons += tests
 
     def push(self, agent_id, bid: float) -> None:
         if agent_id in self._pos:
@@ -132,14 +103,12 @@ class BidHeap:
             self._sift_down(i)
 
     def remove(self, agent_id) -> None:
-        i = self._pos.pop(agent_id)
+        i = self._pos[agent_id]
         last = len(self._ids) - 1
-        if i != last:
-            self._ids[i] = self._ids[last]
-            self._bids[i] = self._bids[last]
-            self._pos[self._ids[i]] = i
+        self._swap(i, last)
+        del self._pos[agent_id]
         self._ids.pop()
         self._bids.pop()
-        if i <= last - 1:
+        if i < last:
             self._sift_down(i)
             self._sift_up(i)

@@ -176,6 +176,8 @@ def test_fund_rejects_negative_and_non_finite():
     acct = account(0, 1.0)
     sched.add_agent(acct)
     sched.fund(0, 2.5)
+    # A harness parent with no credits deposits exactly 0.
+    sched.fund(0, 0.0)
     assert acct.balance == 3.5
     # A NaN balance stops the agent winning; an infinite one makes the
     # next payment, and the clearing prices after it, infinite.
@@ -335,6 +337,9 @@ def test_quote_validates_fraction_and_period():
             reservation_quote(stats, fraction, 10, 0.0, quote_config())
     with pytest.raises(InvalidAmountError):
         reservation_quote(stats, 0.1, 0, 0.0, quote_config())
+    # The range is (0, 1]: a whole-host reservation is priced.
+    assert reservation_quote(stats, 1.0, 10, 0.0,
+                             quote_config(capacity=1.0)) == 10.0
 
 
 def test_accept_debits_quote_exactly():
@@ -342,6 +347,9 @@ def test_accept_debits_quote_exactly():
     res = reservation_accept(acct, 12.5, 0.25, 100, accepted_at=7)
     assert acct.balance == 37.5
     assert (res.fraction, res.period, res.accepted_at) == (0.25, 100, 7)
+    # The whole balance may go on one reservation.
+    reservation_accept(acct, 37.5, 0.25, 100)
+    assert acct.balance == 0.0
 
 
 def test_accept_requires_funds():

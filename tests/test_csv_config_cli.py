@@ -1,5 +1,6 @@
 """Output tables, configuration documents, and the command line."""
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -11,6 +12,7 @@ import pytest
 
 from tycoon_sim import cli
 from tycoon_sim.config import (
+    MAX_SEEDS,
     Experiment,
     SweepConfig,
     apply_overrides,
@@ -24,7 +26,7 @@ from tycoon_sim.config import (
     sweep_points,
     validate_config,
 )
-from tycoon_sim.csvio import config_hash, emit_csv, format_field, read_csv
+from tycoon_sim.csvio import config_hash, emit_csv, format_field
 from tycoon_sim.errors import ConfigError, TycoonError
 from tycoon_sim.harness.agents import ParentJob
 from tycoon_sim.harness.scenario import ScenarioConfig
@@ -34,6 +36,27 @@ from tycoon_sim.market import Behavior, MarketConfig
 
 
 # -- csv emission -----------------------------------------------------------
+
+
+def read_csv(path) -> tuple[str, list[str], list[list[str]]]:
+    """Parse back an emitted table: (config hash, header, string rows).
+
+    Comment lines other than the config hash are skipped.  Values come
+    back as the printed strings; callers reparse numerics themselves.
+    """
+    digest = ""
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = []
+        for line in fh:
+            if line.startswith("# "):
+                if line.startswith("# config-hash: "):
+                    digest = line[len("# config-hash: "):].strip()
+                continue
+            lines.append(line)
+    parsed = list(csv.reader(lines))
+    if not parsed:
+        raise ValueError(f"{path} has no header row")
+    return digest, parsed[0], parsed[1:]
 
 
 def test_config_hash_ignores_key_order():
@@ -246,6 +269,9 @@ def test_seed_defaults_and_repetitions():
         effective_seeds([1, 2, 2001], 3)
     with pytest.raises(ConfigError, match=re.escape("seeds[2]")):
         effective_seeds([4, 5, 4], 1)
+    assert len(effective_seeds([7], MAX_SEEDS)) == MAX_SEEDS
+    with pytest.raises(ConfigError, match="repetitions"):
+        effective_seeds([7, 8], MAX_SEEDS // 2 + 1)
 
 
 # Seed lists whose effective seeds repeat: the repeated seed's rows were
@@ -265,17 +291,52 @@ REPEATED_SEEDS = [
                               in enumerate(REPEATED_SEEDS)])
 def test_repeated_effective_seeds_exit_2_naming_the_field(tmp_path, capsys,
                                                            field, doc, flags):
+    assert_exit_2_naming(tmp_path, capsys, field, doc, flags)
+
+
+def assert_exit_2_naming(tmp_path, capsys, field, doc, flags, says=""):
+    """`validate` and `run` exit 2, naming ``field`` and saying ``says``,
+    and write nothing."""
     conf = write_json(tmp_path, doc)
     out = tmp_path / "out"
+    commands = [["run", "--experiment", "host", "--config", conf,
+                 "--out", str(out), *flags]]
     if not flags:
         # The --seeds range is the command line's, so validate has no
         # effective seed list to check.
-        assert cli.main(["validate", "--config", conf]) == 2
-        assert field in capsys.readouterr().err
-    assert cli.main(["run", "--experiment", "host", "--config", conf,
-                     "--out", str(out), *flags]) == 2
-    assert field in capsys.readouterr().err
+        commands.append(["validate", "--config", conf])
+    for command in commands:
+        assert cli.main(command) == 2
+        err = capsys.readouterr().err
+        assert field in err and says in err
     assert not out.exists()
+
+
+# An unbounded seed count passed `validate`, and `run` then ran out of
+# memory building the seed list.  Each case asks for one seed more than
+# the bound.
+TOO_MANY_SEEDS = [
+    ("repetitions", {"repetitions": MAX_SEEDS + 1}, []),
+    ("repetitions", {"seeds": [1, 2], "repetitions": MAX_SEEDS // 2 + 1},
+     []),
+    ("repetitions", {"repetitions": MAX_SEEDS // 1000 + 1},
+     ["--seeds", "1..1000"]),
+    ("--seeds", {}, ["--seeds", f"0..{MAX_SEEDS}"]),
+    ("invalid seeds", {"seeds": list(range(MAX_SEEDS + 1))}, []),
+]
+
+
+@pytest.mark.parametrize("field,doc,flags", TOO_MANY_SEEDS,
+                         ids=[f"{field}-{i}" for i, (field, _, _)
+                              in enumerate(TOO_MANY_SEEDS)])
+def test_too_many_effective_seeds_exit_2_naming_the_field(
+        tmp_path, capsys, monkeypatch, field, doc, flags):
+    def must_not_run(config):
+        raise AssertionError(f"seed {config.rng_seed} ran")
+
+    monkeypatch.setattr(cli, "run_host_sim", must_not_run)
+    assert_exit_2_naming(tmp_path, capsys, field, doc, flags,
+                         says=f"more than {MAX_SEEDS}")
 
 
 def test_resolved_config_is_stable_and_complete():
@@ -541,6 +602,8 @@ def test_bad_seed_range_is_diagnosed(tmp_path, capsys):
                    "--seeds", "5..1", "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "--seeds" in capsys.readouterr().err
+    # The widest range the bound allows still parses.
+    assert len(cli._parse_seed_range(f"1..{MAX_SEEDS}")) == MAX_SEEDS
 
 
 def test_unwritable_output_is_diagnosed(tmp_path, capsys):

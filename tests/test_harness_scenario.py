@@ -182,6 +182,15 @@ def test_slow_host_is_abandoned():
     assert slow_time < fast_time
 
 
+def test_a_parent_without_credits_funds_its_hosts_with_zero():
+    # Its lump is 0 credits, and each host's auction takes that deposit.
+    cfg = scenario(parents=(job(total_credits=0.0), job()))
+    report = run_harness_scenario(cfg)
+    assert report.ledger_ok
+    assert report.per_parent["parent:0"]["funded_credits"] == 0.0
+    assert report.per_parent["parent:1"]["funded_credits"] > 0.0
+
+
 def test_open_loop_income_is_conserved():
     cfg = scenario(policy_kind=PolicyKind.OPEN_LOOP, duration=20.0)
     report = run_harness_scenario(cfg)

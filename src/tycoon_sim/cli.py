@@ -6,7 +6,7 @@
 Each experiment writes CSV tables into the output directory (``--out``,
 else ``TYCOON_SIM_OUT``, else ``./results``).  Exit status is 0 on
 success; configuration and I/O problems print a diagnostic to stderr
-and exit nonzero.
+and exit nonzero, as does a harness run whose ledger audit fails.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import config as cfg
 from .csvio import emit_csv
-from .errors import ConfigError, TycoonError
+from .errors import ConfigError, LedgerAuditError, TycoonError
 from .harness.scenario import run_harness_scenario
 from .hostsim import comparison_rows, run_host_sim
 from .market import run_market_sim
@@ -82,24 +82,19 @@ def _run_host(doc, seeds) -> list[tuple]:
 
 
 def _run_table1(doc, seeds) -> list[tuple]:
-    errors: dict[str, list[float]] = {}
-    latencies: dict[str, list[float]] = {}
-    meta = {}
+    records = {}  # label -> (host labels, errors, latencies in ms)
     for seed in seeds:
         base = cfg.build_host_config(doc.get("host", {}), seed)
         for label, row_cfg in comparison_rows(base):
             metrics = run_host_sim(row_cfg)
-            meta[label] = _host_labels(row_cfg)
-            errors.setdefault(label, []).append(metrics.scheduling_error)
+            _, errors, latencies = records.setdefault(
+                label, (_host_labels(row_cfg), [], []))
+            errors.append(metrics.scheduling_error)
             if metrics.mean_latency_ms is not None:
-                latencies.setdefault(label, []).append(metrics.mean_latency_ms)
-    rows = []
-    for label in errors:
-        scheduler, share, yields = meta[label]
-        err_mean, err_std = _mean_std(errors[label])
-        lat_mean, lat_std = _mean_std(latencies.get(label, []))
-        rows.append([label, scheduler, share, yields,
-                     err_mean, err_std, lat_mean, lat_std, len(seeds)])
+                latencies.append(metrics.mean_latency_ms)
+    rows = [[label, *labels, *_mean_std(errors), *_mean_std(latencies),
+             len(seeds)]
+            for label, (labels, errors, latencies) in records.items()]
     return [("table1.csv", TABLE1_HEADER, rows, ())]
 
 
@@ -142,8 +137,8 @@ def _run_figure1(doc, seeds) -> list[tuple]:
     return [("figure1.csv", MARKET_HEADER, rows, ())]
 
 
-def _run_harness(doc, seeds) -> list[tuple]:
-    users, hosts, events, audits = [], [], [], []
+def _run_harness(doc, seeds):
+    users, hosts, events, audits, failed = [], [], [], [], []
     for seed in seeds:
         report = run_harness_scenario(
             cfg.build_harness_config(doc.get("harness", {}), seed))
@@ -161,12 +156,18 @@ def _run_harness(doc, seeds) -> list[tuple]:
             f"ledger-audit seed={seed}: conserved={str(report.ledger_ok).lower()}"
             f" issued={report.total_issued} final={report.final_total}"
             f" dropped={report.messages_dropped}")
-    return [("harness_users.csv", USERS_HEADER, users, audits),
-            ("harness_hosts.csv", HOSTS_HEADER, hosts, audits),
-            ("harness_events.csv", EVENTS_HEADER, events, audits)]
+        if not (report.ledger_ok and report.no_negative_balances):
+            failed.append(str(seed))
+    # The tables are yielded before the audit raises, so they are written.
+    yield "harness_users.csv", USERS_HEADER, users, audits
+    yield "harness_hosts.csv", HOSTS_HEADER, hosts, audits
+    yield "harness_events.csv", EVENTS_HEADER, events, audits
+    if failed:
+        raise LedgerAuditError(
+            f"ledger audit failed on seeds: {', '.join(failed)}")
 
 
-# Each runner returns its tables as (file name, header, rows, comments).
+# Each runner returns or yields its tables as (name, header, rows, comments).
 _RUNNERS = {
     cfg.Experiment.HOST: _run_host,
     cfg.Experiment.MARKET: _run_market,
@@ -242,7 +243,7 @@ def main(argv=None) -> int:
         return _cmd_run(args)
     except TycoonError as exc:
         print(f"tycoon-sim: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, LedgerAuditError) else 2
     except OSError as exc:
         print(f"tycoon-sim: {exc}", file=sys.stderr)
         return 1

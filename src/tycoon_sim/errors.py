@@ -51,3 +51,7 @@ class InvalidSpecError(TycoonError):
 
 class ConfigError(TycoonError):
     """Malformed or contradictory experiment configuration."""
+
+
+class LedgerAuditError(TycoonError):
+    """A finished cluster run failed its ledger audit."""

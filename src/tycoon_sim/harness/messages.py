@@ -55,7 +55,6 @@ class Network:
         self.drop_probability = drop_probability
         self._rng = np.random.default_rng(seed)
         self._queue: list[Message] = []
-        self._seq_by_sender = {}
         self._handlers = {}
         self.sent = 0
         self.dropped = 0
@@ -73,10 +72,10 @@ class Network:
         if self.drop_probability and self._rng.random() < self.drop_probability:
             self.dropped += 1
             return
-        seq = self._seq_by_sender.get(sender, 0)
-        self._seq_by_sender[sender] = seq + 1
-        heapq.heappush(self._queue, Message(now + self.latency, sender, seq,
-                                            recipient, kind, payload or {}))
+        # The send count is the sequence number: it rises in send order.
+        heapq.heappush(self._queue, Message(now + self.latency, sender,
+                                            self.sent, recipient, kind,
+                                            payload or {}))
 
     def next_delivery(self) -> float | None:
         """Delivery time of the first message in the queue, if any."""

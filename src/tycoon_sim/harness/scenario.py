@@ -260,11 +260,10 @@ class _HostNode:
 
         A seat falling due splits the window: due seats enter the heap
         before their slice's round, in the order they were opened.  In
-        between, nobody enters, leaves or is funded, so the scheduler
-        holds a stretch of two or more rounds in one ``run_rounds`` call;
-        a lone round goes through ``run_slice``, which costs less.  Each
-        won round then adds to its seat's progress and spend on its own,
-        in round order, so the sums are those of stepping each slice.
+        between, nobody enters, leaves or is funded, so each stretch,
+        whatever its length, is one ``run_rounds`` call.  Each won round
+        then adds to its seat's progress and spend on its own, in round
+        order, so the sums are those of stepping each slice.
         """
         if not self.alive:
             return
@@ -289,12 +288,7 @@ class _HostNode:
             # slices_run.  Hosts sell no reservations, so every round held
             # has a winner.
             if sched.heap:
-                if rounds == 1:
-                    result = sched.run_slice()
-                    winners, payments = (result.winner,), (result.payment,)
-                else:
-                    winners, payments = sched.run_rounds(rounds)
-                for winner, payment in zip(winners, payments):
+                for winner, payment in zip(*sched.run_rounds(rounds)):
                     # Only seated, activated agents are runnable, so the
                     # winner has a seat.
                     seat = seats[winner]

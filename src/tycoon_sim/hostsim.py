@@ -23,8 +23,8 @@ set when it is served and rejoins on the slice after its next request
 coin.  Between two events both schedulers hold their rounds in one
 ``run_rounds`` call, and the web queue books the window from its
 winners.  A queued yielding server may win and go idle on any slice, so
-its windows are one slice long and go through ``run_slice`` or
-``select_winner``.  Every window is bit for bit its slices run singly.
+its windows are one slice long; the scheduler picks its own path for
+those.  Every window is bit for bit its slices run singly.
 """
 
 from __future__ import annotations
@@ -345,13 +345,7 @@ def _run_ps(config, queue):
                                        round_vt + dt / web.weight)
                 web_was_runnable = True
             end = k + 1 if yields else n
-        if end - k == 1:
-            winner = proportional.select_winner(runnable)
-            proportional.advance(winner, dt)
-            winners = [winner.process_id]
-        else:
-            winners = proportional.run_rounds(runnable, end - k, dt)
-        queue.book(winners)
+        queue.book(proportional.run_rounds(runnable, end - k, dt))
         k = end
 
 
@@ -424,9 +418,5 @@ def _run_auction(config, funding_seed, queue):
             pending = queue.pending is not None
             sched.set_runnable(0, pending)
             end = k + 1 if pending else min(end, queue.next_coin(k) + 1)
-        if end - k == 1:
-            winners = [sched.run_slice().winner]
-        else:
-            winners = sched.run_rounds(end - k)[0]
-        queue.book(winners)
+        queue.book(sched.run_rounds(end - k)[0])
         k = end

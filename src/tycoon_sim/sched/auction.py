@@ -230,13 +230,18 @@ class AuctionShareScheduler:
         Each round is bit for bit what ``run_slice()`` would do.  Between
         rounds only the winner's balance and bid move, so the rounds run
         on local copies of the bidders, and the heap is re-keyed and the
-        clearing prices observed once, after the last round.  Needs a
-        non-empty queue and no reservations.
+        clearing prices observed once, after the last round; ``n == 1``
+        goes through ``run_slice``.  Needs a queued bidder, no reservation.
         """
         heap = self.heap
         if n < 1 or not heap or self.reservations:
             raise ValueError("run_rounds needs n >= 1, a queued bidder and "
                              "no reservations")
+        if n == 1:
+            # perfbench counts rounds at run_slice and select_winner (ROADMAP
+            # item 1); once it counts them here, both n == 1 branches can go.
+            result = self.run_slice()
+            return [result.winner], [result.payment]
         ids, bids = heap.entries()
         accounts = [self.accounts[agent_id] for agent_id in ids]
         for account in accounts:

@@ -49,7 +49,7 @@ class BidHeap:
             self._swap(i, parent)
             i = parent
 
-    def _sift_down(self, i: int) -> None:
+    def _sift_down(self, i: int) -> int:
         n = len(self._ids)
         while True:
             best = i
@@ -57,7 +57,7 @@ class BidHeap:
                 if child < n and self._before(child, best):
                     best = child
             if best == i:
-                return
+                return i
             self._swap(i, best)
             i = best
 
@@ -109,6 +109,6 @@ class BidHeap:
         del self._pos[agent_id]
         self._ids.pop()
         self._bids.pop()
-        if i < last:
-            self._sift_down(i)
+        if i < last and self._sift_down(i) == i:
+            # Only a filler that did not sink can outrank i's parent.
             self._sift_up(i)

@@ -39,11 +39,17 @@ def run_rounds(
     """Hold ``n`` rounds among a fixed set of runnable processes; return
     the winners' ids in round order.
 
-    Each round is what ``select_winner`` and then ``advance`` would do:
-    the smallest (virtual time, id) wins and its virtual time grows by
-    ``timeslice_length / weight``.  The rounds run on a local heap of
-    those pairs, and the virtual times are written back after the last.
+    Each round is what ``select_winner`` and then ``advance`` would do
+    (``n == 1`` calls them): the smallest (virtual time, id) wins, and its
+    virtual time grows by ``timeslice_length / weight``.  More rounds run
+    on a local heap of those pairs; the virtual times are written back.
     """
+    if n == 1:
+        # perfbench counts rounds at select_winner and run_slice (ROADMAP
+        # item 1); once it counts them here, both n == 1 branches can go.
+        winner = select_winner(runnable)
+        advance(winner, timeslice_length)
+        return [winner.process_id]
     processes = list(runnable)
     strides = [timeslice_length / p.weight for p in processes]
     queue = [(p.virtual_time, p.process_id, i)

@@ -552,14 +552,17 @@ def test_batched_rounds_reject_a_bidder_without_request_before_any_charge():
 
 
 def test_batched_rounds_need_a_bidder_and_no_reservation():
+    # A single round goes through run_slice only after the same checks.
     sched = AuctionShareScheduler(FIRST)
-    with pytest.raises(ValueError):
-        sched.run_rounds(3)
+    for n in (1, 3):
+        with pytest.raises(ValueError):
+            sched.run_rounds(n)
     sched.add_agent(account(0, 10.0))
     with pytest.raises(ValueError):
         sched.run_rounds(0)
     sched.reservations.append(Reservation(agent_id=0, fraction=0.5,
                                           period=10, quoted_price=1.0))
-    with pytest.raises(ValueError):
-        sched.run_rounds(3)
+    for n in (1, 3):
+        with pytest.raises(ValueError):
+            sched.run_rounds(n)
     assert (sched.slice_index, sched.accounts[0].balance) == (0, 10.0)

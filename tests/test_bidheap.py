@@ -159,7 +159,7 @@ def test_comparison_count_is_pinned():
         else:
             heap.second()
     assert len(heap) == 723
-    assert heap.comparisons == 6421
+    assert heap.comparisons == 6250
 
 
 def max_op_comparisons(n: int, seed: int) -> int:

@@ -28,6 +28,7 @@ from tycoon_sim.config import (
 )
 from tycoon_sim.csvio import config_hash, emit_csv, format_field
 from tycoon_sim.errors import ConfigError, TycoonError
+from tycoon_sim.harness import scenario
 from tycoon_sim.harness.agents import ParentJob
 from tycoon_sim.harness.scenario import ScenarioConfig
 from tycoon_sim.hostsim import (FundingMode, HostSimConfig, SchedulerKind,
@@ -640,6 +641,55 @@ def test_harness_run_emits_three_tables_with_audit(tmp_path):
         assert (out / name).exists()
     assert "ledger-audit seed=2: conserved=true" in (
         out / "harness_users.csv").read_text()
+
+
+def mint(ledger, to_id):
+    ledger.accounts[to_id] += 1
+
+
+def overdraw(ledger, to_id):
+    # The total stays right, but one account goes below zero.
+    mint(ledger, to_id)
+    ledger.accounts["overdrawn"] = ledger.accounts.get("overdrawn", 0) - 1
+
+
+@pytest.mark.parametrize("fault, conserved", [(mint, "false"),
+                                              (overdraw, "true")])
+def test_failed_ledger_audit_writes_the_tables_and_exits_3(
+        tmp_path, capsys, monkeypatch, fault, conserved):
+    # Seed 2's bank runs the fault after every transfer; seeds 1 and 3
+    # run clean.
+    real_run, real_transfer = cli.run_harness_scenario, scenario.bank_transfer
+
+    def leaky_transfer(ledger, from_id, to_id, amount):
+        real_transfer(ledger, from_id, to_id, amount)
+        fault(ledger, to_id)
+
+    def run(config):
+        if config.rng_seed != 2:
+            return real_run(config)
+        with monkeypatch.context() as patch:
+            patch.setattr(scenario, "bank_transfer", leaky_transfer)
+            return real_run(config)
+
+    monkeypatch.setattr(cli, "run_harness_scenario", run)
+    conf = write_json(tmp_path, smoke_doc())
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--experiment", "harness", "--config", conf,
+                   "--seeds", "1..3", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "tycoon-sim: ledger audit failed on seeds: 2\n")
+    for name in ("harness_users.csv", "harness_hosts.csv",
+                 "harness_events.csv"):
+        text = (out / name).read_text()
+        assert f"ledger-audit seed=2: conserved={conserved}" in text
+        assert "ledger-audit seed=3: conserved=true" in text
+
+    monkeypatch.undo()
+    assert cli.main(["run", "--experiment", "harness", "--config", conf,
+                     "--seeds", "1..3", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_dry_open_loop_admin_pool_starves_instead_of_failing(tmp_path,

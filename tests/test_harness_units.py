@@ -396,6 +396,26 @@ def test_seats_due_inside_a_window_enter_the_heap_on_their_slice():
     assert host.sched.slice_index == 100 - 11
 
 
+def test_each_stretch_is_one_run_rounds_call_whatever_its_length():
+    sim, host, pushed = one_host()
+    host.handle(to_host(MessageKind.SPAWN_CHILD, child_key="p/c0",
+                        activate_at=0.0))
+    host.handle(to_host(MessageKind.FUND_AUCTIONEER, child_key="p/c0",
+                        amount=MICRO))
+    rounds, singles = [], []
+    run_slice, run_rounds = host.sched.run_slice, host.sched.run_rounds
+    host.sched.run_rounds = lambda n: rounds.append(n) or run_rounds(n)
+    # run_rounds(1) holds its round through run_slice, and nothing else
+    # calls it.
+    host.sched.run_slice = lambda: singles.append(rounds[-1]) or run_slice()
+    for k0, k1 in ((0, 1), (1, 2), (2, 40)):
+        host.run_slices(k0, k1)
+    assert rounds == [1, 1, 38]
+    assert singles == [1, 1]
+    assert host.sched.slice_index == 40
+    assert host.children["p/c0"].progress > 0
+
+
 def test_idle_host_counts_its_slices_and_holds_no_round():
     sim, host, pushed = one_host()
     rounds = []

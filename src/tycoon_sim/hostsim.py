@@ -22,9 +22,11 @@ slice ``j`` with ``j * dt >= t``; a yielding web server leaves the ready
 set when it is served and rejoins on the slice after its next request
 coin.  Between two events both schedulers hold their rounds in one
 ``run_rounds`` call, and the web queue books the window from its
-winners.  A queued yielding server may win and go idle on any slice, so
-its windows are one slice long; the scheduler picks its own path for
-those.  Every window is bit for bit its slices run singly.
+winners.  A queued yielding server may win and go idle on any slice.
+The stride scheduler ends such a window on the round the server wins,
+so a pending request is one window; under the auction its windows are
+one slice long, and the scheduler picks its own path for those.  Every
+window is bit for bit its slices run singly.
 """
 
 from __future__ import annotations
@@ -82,6 +84,13 @@ class RequestRecord:
     service_start_time: float | None = None
 
 
+#: Longest run a config may ask for, in slices: about 28 hours of 10 ms
+#: slices.  A run keeps every slice's winner and request draws, 31 to 53
+#: bytes a slice at its peak (tracemalloc, 10^5 and 4 * 10^5 slices, the
+#: yielding auction highest), so this is about 0.5 GB.
+MAX_TIMESLICES = 10_000_000
+
+
 @dataclass
 class HostSimConfig:
     scheduler: SchedulerKind = SchedulerKind.PROPORTIONAL_SHARE
@@ -104,6 +113,9 @@ class HostSimConfig:
                      "funding_mean_interval"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ConfigError(f"{name}: must be > 0 and finite")
+        if self.num_timeslices > MAX_TIMESLICES:
+            raise ConfigError(
+                f"num_timeslices: more than {MAX_TIMESLICES} slices")
         if not 0 <= self.warmup_slices < self.num_timeslices:
             raise ConfigError("warmup_slices: must leave a measurement window")
         if len(self.weights) < 2 or not all(
@@ -323,30 +335,31 @@ def _run_ps(config, queue):
     ]
     web, batch = processes[0], processes[1:]
     yields = config.web.yields_cpu
-    web_was_runnable = not yields
+    # One aggregate step of the batch processes; their weights never change.
+    round_step = dt / sum(p.weight for p in batch)
 
     k = 0
     while k < n:
         if yields and queue.pending is None:
-            runnable = batch
-            web_was_runnable = False
+            runnable, stop = batch, None
             end = min(n, queue.next_coin(k) + 1)
         else:
-            runnable = processes
-            if not web_was_runnable:
-                # Rejoin at the round's current virtual time plus one own
-                # stride, with no credit for time spent sleeping.  The
-                # round time sits one aggregate step below the minimum
-                # pass value, which lets a heavy process preempt at the
-                # next boundary while a light one waits out the round.
+            runnable, stop, end = processes, None, n
+            if yields:
+                # The server has slept since its last window.  Rejoin at
+                # the round's current virtual time plus one own stride,
+                # with no credit for time spent sleeping.  The round time
+                # sits one aggregate step below the minimum pass value,
+                # which lets a heavy process preempt at the next boundary
+                # while a light one waits out the round.  The window ends
+                # on the round that serves the request.
                 floor = min(p.virtual_time for p in batch)
-                round_vt = floor - dt / sum(p.weight for p in batch)
                 web.virtual_time = max(web.virtual_time,
-                                       round_vt + dt / web.weight)
-                web_was_runnable = True
-            end = k + 1 if yields else n
-        queue.book(proportional.run_rounds(runnable, end - k, dt))
-        k = end
+                                       floor - round_step + dt / web.weight)
+                stop = web.process_id
+        winners = proportional.run_rounds(runnable, end - k, dt, stop)
+        queue.book(winners)
+        k += len(winners)
 
 
 def _run_auction(config, funding_seed, queue):

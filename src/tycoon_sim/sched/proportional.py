@@ -10,7 +10,7 @@ to the lowest process id.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from ..errors import UndefinedShareError, UnknownProcessError
 from .types import PSProcess
@@ -34,35 +34,57 @@ def advance(process: PSProcess, timeslice_length: float) -> None:
 
 
 def run_rounds(
-    runnable: Iterable[PSProcess], n: int, timeslice_length: float
+    runnable: Sequence[PSProcess], n: int, timeslice_length: float,
+    until: int | str | None = None,
 ) -> list:
-    """Hold ``n`` rounds among a fixed set of runnable processes; return
-    the winners' ids in round order.
+    """Hold up to ``n`` rounds among a fixed set of runnable processes;
+    return the winners' ids in round order.
 
     Each round is what ``select_winner`` and then ``advance`` would do
     (``n == 1`` calls them): the smallest (virtual time, id) wins, and its
-    virtual time grows by ``timeslice_length / weight``.  More rounds run
-    on a local heap of those pairs; the virtual times are written back.
+    virtual time grows by ``timeslice_length / weight``.  With ``until``,
+    the window ends after the first round that process wins, so it may
+    hold fewer than ``n``; a first round it wins goes through
+    ``select_winner`` and ``advance`` too.  Longer windows run on a local
+    heap of those pairs; the virtual times are written back.  Needs
+    ``n >= 1`` and a runnable process.
     """
+    if n < 1 or not runnable:
+        raise ValueError("run_rounds needs n >= 1 and a runnable process")
     if n == 1:
         # perfbench counts rounds at select_winner and run_slice (ROADMAP
         # item 1); once it counts them here, both n == 1 branches can go.
         winner = select_winner(runnable)
         advance(winner, timeslice_length)
         return [winner.process_id]
-    processes = list(runnable)
-    strides = [timeslice_length / p.weight for p in processes]
-    queue = [(p.virtual_time, p.process_id, i)
-             for i, p in enumerate(processes)]
+    if until is not None:
+        # ``until`` often wins the first round; that round needs no heap.
+        winner = select_winner(runnable)
+        if winner.process_id == until:
+            advance(winner, timeslice_length)
+            return [until]
+    # Ids are unique, so entries never compare past (virtual time, id).
+    queue = [(p.virtual_time, p.process_id, timeslice_length / p.weight, p)
+             for p in runnable]
     heapq.heapify(queue)
     winners = []
     win = winners.append
-    for _ in range(n):
-        vt, pid, i = queue[0]
-        win(pid)
-        heapq.heapreplace(queue, (vt + strides[i], pid, i))
-    for vt, _, i in queue:
-        processes[i].virtual_time = vt
+    if until is None:
+        for _ in range(n):
+            vt, pid, stride, p = queue[0]
+            win(pid)
+            heapq.heapreplace(queue, (vt + stride, pid, stride, p))
+    else:
+        # The same rounds, with the one test a window without ``until``
+        # does not pay for.
+        for _ in range(n):
+            vt, pid, stride, p = queue[0]
+            win(pid)
+            heapq.heapreplace(queue, (vt + stride, pid, stride, p))
+            if pid == until:
+                break
+    for vt, _, _, p in queue:
+        p.virtual_time = vt
     return winners
 
 

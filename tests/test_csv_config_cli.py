@@ -31,8 +31,9 @@ from tycoon_sim.errors import ConfigError, TycoonError
 from tycoon_sim.harness import scenario
 from tycoon_sim.harness.agents import ParentJob
 from tycoon_sim.harness.scenario import ScenarioConfig
-from tycoon_sim.hostsim import (FundingMode, HostSimConfig, SchedulerKind,
-                                WorkloadSpec)
+from tycoon_sim import hostsim
+from tycoon_sim.hostsim import (MAX_TIMESLICES, FundingMode, HostSimConfig,
+                                SchedulerKind, WorkloadSpec)
 from tycoon_sim.market import Behavior, MarketConfig
 
 
@@ -340,6 +341,24 @@ def test_too_many_effective_seeds_exit_2_naming_the_field(
                          says=f"more than {MAX_SEEDS}")
 
 
+# An unbounded slice count passed `validate`; `run` then set out to
+# allocate about 7 TiB of draws for 10^12 slices.  Neither is ever run.
+@pytest.mark.parametrize("slices", [MAX_TIMESLICES + 1, 10**12])
+def test_too_many_host_slices_exit_2_naming_the_field(
+        tmp_path, capsys, monkeypatch, slices):
+    def must_not_run(config):
+        raise AssertionError(f"{config.num_timeslices} slices ran")
+
+    monkeypatch.setattr(cli, "run_host_sim", must_not_run)
+    assert_exit_2_naming(tmp_path, capsys, "host.num_timeslices",
+                         {"host": {"num_timeslices": slices}}, [],
+                         says=f"more than {MAX_TIMESLICES}")
+    # The bound itself is a valid run length.
+    conf = write_json(tmp_path, {"host": {"num_timeslices": MAX_TIMESLICES}},
+                      "longest.json")
+    assert cli.main(["validate", "--config", conf]) == 0
+
+
 def test_resolved_config_is_stable_and_complete():
     resolved = resolved_config({}, Experiment.HOST, [42], 1)
     assert resolved["host"]["scheduler"] == "proportional_share"
@@ -617,9 +636,12 @@ def test_unwritable_output_is_diagnosed(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
-def test_an_impossible_allocation_exits_1_in_one_line(tmp_path, capsys):
+def test_an_impossible_allocation_exits_1_in_one_line(tmp_path, capsys,
+                                                      monkeypatch):
     # 10**15 slices need 8 PB for one array of draws, more than any
-    # address space holds, so the allocation fails at once.
+    # address space holds, so the allocation fails at once.  Only with the
+    # run-length bound raised does such a config get past validation.
+    monkeypatch.setattr(hostsim, "MAX_TIMESLICES", 10**15)
     conf = write_json(tmp_path, {"host": {
         "scheduler": "proportional_share", "num_timeslices": 10**15}})
     rc = cli.main(["run", "--experiment", "host", "--config", conf,

@@ -474,25 +474,36 @@ def test_event_windows_reproduce_the_per_slice_loops(config):
 @pytest.mark.parametrize("yields", [True, False])
 def test_each_window_is_one_run_rounds_call(monkeypatch, kind, yields):
     # Windows of any length, one slice included, go through run_rounds;
-    # the single-round steps are reached only from inside it.
-    windows, singles, inside = [], [], []
+    # the single-round steps are reached only from inside it.  A window
+    # may stop early only on a round its ``until`` process wins, so a
+    # yielding stride server's pending request is one window.
+    windows, singles, inside, requests = [], [], [], []
+    stride = kind is SchedulerKind.PROPORTIONAL_SHARE
 
     def window(run_rounds):
         def spy(*args):
-            windows.append(args[1])  # n, after the ready set or self
             inside.append(True)
             try:
-                return run_rounds(*args)
+                held = run_rounds(*args)
             finally:
                 inside.pop()
+            # (n, until, winners), after the ready set or self
+            windows.append((args[1], args[3] if stride else None,
+                            held if stride else held[0]))
+            return held
         return spy
 
     def single(step):
         def spy(*args):
             assert inside, f"{step.__name__} called outside run_rounds"
-            singles.append(windows[-1])
+            singles.append(step.__name__)
             return step(*args)
         return spy
+
+    class Request(RequestRecord):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            requests.append(self)
 
     monkeypatch.setattr(proportional, "run_rounds",
                         window(proportional.run_rounds))
@@ -502,14 +513,75 @@ def test_each_window_is_one_run_rounds_call(monkeypatch, kind, yields):
                         (proportional, "advance"),
                         (auction.AuctionShareScheduler, "run_slice")):
         monkeypatch.setattr(owner, name, single(getattr(owner, name)))
+    monkeypatch.setattr(hostsim, "RequestRecord", Request)
     config = HostSimConfig(**SMALL, scheduler=kind,
                            web=WorkloadSpec(yields_cpu=yields))
     run_host_sim(config)
-    assert sum(windows) == config.num_timeslices
-    steps = 2 if kind is SchedulerKind.PROPORTIONAL_SHARE else 1
-    assert singles == [1] * steps * windows.count(1)
+    assert sum(len(held) for _, _, held in windows) == config.num_timeslices
+    for n, until, held in windows:
+        assert until not in held[:-1]
+        assert len(held) == n or 0 < len(held) < n and held[-1] == until
+    held_one = sum(len(held) == 1 for _, _, held in windows)
+    if stride:
+        assert singles.count("advance") == held_one
+    else:
+        assert singles == ["run_slice"] * held_one
     if yields:
-        assert 1 in windows
+        assert held_one
+    if stride and yields:
+        pending = [held for _, until, held in windows if until is not None]
+        assert len(pending) == len(requests) > 0
+        assert any(len(held) > 1 for held in pending)
+
+
+def time_scaled(config, factor):
+    """``config`` with every time in it scaled by ``factor``."""
+    dt = config.timeslice_length * factor
+    return dataclasses.replace(
+        config, timeslice_length=dt,
+        web=dataclasses.replace(config.web, service_demand=dt),
+        funding_mean_interval=config.funding_mean_interval * factor)
+
+
+def assert_time_scales(config, factor):
+    """A run and its time-scaled twin agree bit for bit: the same shares
+    and error, and latency scaled exactly by ``factor``."""
+    run, twin = run_host_sim(config), run_host_sim(time_scaled(config, factor))
+    assert twin.per_process_shares == run.per_process_shares
+    assert (twin.scheduling_error, twin.utilization, twin.requests_served) \
+        == (run.scheduling_error, run.utilization, run.requests_served)
+    if run.mean_latency is None:
+        assert twin.mean_latency is None
+    else:
+        assert twin.mean_latency == run.mean_latency * factor
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(SchedulerKind), st.booleans(),
+       st.sampled_from(PriceMode),
+       st.lists(st.integers(1, 29), min_size=2, max_size=5),
+       st.integers(0, 2**32 - 1), st.integers(-20, 20))
+def test_host_time_scaling_is_exact(kind, yields, price_mode, weights, seed,
+                                    power):
+    # Powers of two scale every float exactly; from 2**-20 to 2**20 times
+    # the default times, no value comes near the subnormals or overflow.
+    config = HostSimConfig(
+        scheduler=kind, num_timeslices=300, warmup_slices=30,
+        weights=tuple(map(float, weights)),
+        web=WorkloadSpec(yields_cpu=yields), rng_seed=seed,
+        price_mode=price_mode)
+    config.validate()
+    assert_time_scales(config, 2.0 ** power)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "gen_funding_events draws its gaps with a mean of one second whatever "
+    "funding_mean_interval is, so Poisson deposits do not scale with time"))
+def test_host_time_scaling_is_exact_under_poisson_funding():
+    assert_time_scales(HostSimConfig(
+        **SMALL, scheduler=SchedulerKind.AUCTION_SHARE,
+        funding_mode=FundingMode.POISSON, price_mode=PriceMode.FIRST_PRICE,
+        rng_seed=1), 4.0)
 
 
 # -- the low-latency claim --------------------------------------------------

@@ -108,6 +108,47 @@ def test_run_rounds_is_n_rounds_of_select_and_advance(specs, ids, n):
             == [p.virtual_time.hex() for p in stepped])
 
 
+@given(st.lists(st.tuples(st.integers(1, 29),
+                          st.sampled_from([0.0, 0.01, 0.5]) | st.floats(0, 1)),
+                min_size=1, max_size=6),
+       st.permutations(range(6)), st.integers(1, 300), st.integers(0, 6))
+def test_run_rounds_until_is_rounds_of_select_and_advance_until_it_wins(
+        specs, ids, n, target):
+    # ``until`` is a process in the set, or an id outside it (one no
+    # process drew, or 6) that never wins, so the window holds n rounds.
+    until = ids[target] if target < 6 else target
+
+    def fresh():
+        return [PSProcess(ids[i], float(w), virtual_time=vt)
+                for i, (w, vt) in enumerate(specs)]
+
+    stepped, held = fresh(), fresh()
+    expected = []
+    for _ in range(n):
+        p = select_winner(stepped)
+        advance(p, 0.010)
+        expected.append(p.process_id)
+        if p.process_id == until:
+            break
+    assert run_rounds(held, n, 0.010, until) == expected
+    assert ([p.virtual_time.hex() for p in held]
+            == [p.virtual_time.hex() for p in stepped])
+
+
+def test_run_rounds_needs_a_round_and_a_runnable_process():
+    for n in (0, -3):
+        ps = procs(1, 2)
+        with pytest.raises(ValueError):
+            run_rounds(ps, n, 0.010)
+        with pytest.raises(ValueError):
+            run_rounds(ps, n, 0.010, until=0)
+        assert [p.virtual_time for p in ps] == [0.0, 0.0]
+    for n in (1, 2, 5):
+        for until in (None, 0):
+            with pytest.raises(ValueError):
+                run_rounds([], n, 0.010, until)
+
+
 def test_run_rounds_breaks_ties_to_the_lowest_id():
     ps = [PSProcess(3, 1.0), PSProcess(1, 1.0), PSProcess(2, 1.0)]
     assert run_rounds(ps, 6, 0.010) == [1, 2, 3, 1, 2, 3]

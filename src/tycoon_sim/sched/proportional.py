@@ -51,38 +51,26 @@ def run_rounds(
     """
     if n < 1 or not runnable:
         raise ValueError("run_rounds needs n >= 1 and a runnable process")
-    if n == 1:
+    if n == 1 or until is not None:
         # perfbench counts rounds at select_winner and run_slice (ROADMAP
         # item 1); once it counts them here, both n == 1 branches can go.
-        winner = select_winner(runnable)
-        advance(winner, timeslice_length)
-        return [winner.process_id]
-    if until is not None:
         # ``until`` often wins the first round; that round needs no heap.
         winner = select_winner(runnable)
-        if winner.process_id == until:
+        if n == 1 or winner.process_id == until:
             advance(winner, timeslice_length)
-            return [until]
+            return [winner.process_id]
     # Ids are unique, so entries never compare past (virtual time, id).
     queue = [(p.virtual_time, p.process_id, timeslice_length / p.weight, p)
              for p in runnable]
     heapq.heapify(queue)
     winners = []
     win = winners.append
-    if until is None:
-        for _ in range(n):
-            vt, pid, stride, p = queue[0]
-            win(pid)
-            heapq.heapreplace(queue, (vt + stride, pid, stride, p))
-    else:
-        # The same rounds, with the one test a window without ``until``
-        # does not pay for.
-        for _ in range(n):
-            vt, pid, stride, p = queue[0]
-            win(pid)
-            heapq.heapreplace(queue, (vt + stride, pid, stride, p))
-            if pid == until:
-                break
+    for _ in range(n):
+        vt, pid, stride, p = queue[0]
+        win(pid)
+        heapq.heapreplace(queue, (vt + stride, pid, stride, p))
+        if pid == until:
+            break
     for vt, _, _, p in queue:
         p.virtual_time = vt
     return winners

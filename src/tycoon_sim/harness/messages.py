@@ -4,6 +4,25 @@ Components never share state; they exchange Messages through a Network
 that delivers them in (delivery_time, sender, sequence) order.  With a
 fixed per-network latency this preserves per-sender FIFO, and the global
 order is reproducible regardless of how handlers interleave their sends.
+
+Each kind carries one payload type per recipient:
+
+    kind             sender -> recipient  payload
+    SPAWN_CHILD      parent -> host       Spawn
+    FUND_AUCTIONEER  parent -> bank       FundRequest
+    FUND_AUCTIONEER  bank -> host         Fund
+    KILL_CHILD       parent -> host       the child key, a str
+    QUERY_PROGRESS   parent -> host       the child key, a str
+    PROGRESS_REPORT  host -> parent       Progress
+    TRANSFER         host -> bank         Settle
+    TRANSFER         parent -> bank       Settle({}, [child key]), a close
+    TRANSFER         bank -> parent       the micro-credits swept back, an int
+    ADVERTISE        host -> sls          None
+    LOOKUP           parent -> sls        None
+    LOOKUP_RESULT    sls -> parent        the live host ids, a list of str
+
+Amounts are integer micro-credits; spend, progress and funds in a
+Progress report are the host's float credits and work.
 """
 
 import heapq
@@ -25,6 +44,44 @@ class MessageKind(Enum):
     SPAWN_CHILD = "spawn_child"
 
 
+class Spawn(NamedTuple):
+    """Open a seat for the child that bids from activate_at on."""
+    child_key: str
+    activate_at: float
+
+
+class FundRequest(NamedTuple):
+    """Move amount into the child's escrow and fund the child at host."""
+    host: str
+    child_key: str
+    amount: int
+
+
+class Fund(NamedTuple):
+    """The bank has moved amount into the child's escrow."""
+    child_key: str
+    amount: int
+
+
+class Progress(NamedTuple):
+    """A child's work, metered spend and balance.  Progress(child_key),
+    with no figures, says the host has no seat for that child."""
+    child_key: str
+    progress: float | None = None
+    spent: float | None = None
+    funds: float | None = None
+
+
+class Settle(NamedTuple):
+    """Pay the sender each child's cumulative spend, then close escrows."""
+    cumulative: dict[str, int]
+    close: list[str]
+
+
+Payload = (Spawn | FundRequest | Fund | Progress | Settle | str | int | list
+           | None)
+
+
 class Message(NamedTuple):
     """One message, and its own entry in the delivery heap.
 
@@ -37,7 +94,7 @@ class Message(NamedTuple):
     seq: int
     recipient: str
     kind: MessageKind
-    payload: dict
+    payload: Payload
 
 
 class Network:
@@ -66,8 +123,8 @@ class Network:
     def unregister(self, component_id: str) -> None:
         self._handlers.pop(component_id, None)
 
-    def send(self, now: float, sender: str, recipient: str,
-             kind: MessageKind, payload: dict | None = None) -> None:
+    def send(self, now: float, sender: str, recipient: str, kind: MessageKind,
+             payload: Payload = None) -> None:
         self.sent += 1
         if self.drop_probability and self._rng.random() < self.drop_probability:
             self.dropped += 1
@@ -75,7 +132,7 @@ class Network:
         # The send count is the sequence number: it rises in send order.
         heapq.heappush(self._queue, Message(now + self.latency, sender,
                                             self.sent, recipient, kind,
-                                            payload or {}))
+                                            payload))
 
     def next_delivery(self) -> float | None:
         """Delivery time of the first message in the queue, if any."""

@@ -33,7 +33,8 @@ from .agents import (ChildAgentState, ParentJob, parent_budget,
                      parent_monitor_and_replace)
 from .bank import (MICRO, BankLedger, PolicyKind, apply_funding_policy,
                    bank_transfer, credits_to_micro, micro_to_credits)
-from .messages import MessageKind, Network
+from .messages import (Fund, FundRequest, MessageKind, Network, Progress,
+                       Settle, Spawn)
 from .sls import ServiceLocator
 
 
@@ -220,40 +221,31 @@ class _HostNode:
     def handle(self, msg) -> None:
         kind, p = msg.kind, msg.payload
         if kind is MessageKind.SPAWN_CHILD:
-            self._ensure_child(p["child_key"]).activate_at = p["activate_at"]
+            self._ensure_child(p.child_key).activate_at = p.activate_at
         elif kind is MessageKind.FUND_AUCTIONEER:
-            if p["child_key"] in self._killed:
+            if p.child_key in self._killed:
                 # Funding raced a kill; the credits stay parked in the
                 # escrow account, where the close still collects them.
                 return
-            seat = self._ensure_child(p["child_key"])
-            self.sched.fund(seat.agent.agent_id,
-                            micro_to_credits(p["amount"]))
+            seat = self._ensure_child(p.child_key)
+            self.sched.fund(seat.agent.agent_id, micro_to_credits(p.amount))
         elif kind is MessageKind.KILL_CHILD:
-            key = p["child_key"]
-            self._killed[key] = 0
-            seat = self.children.pop(key, None)
+            self._killed[p] = 0
+            seat = self.children.pop(p, None)
             if seat is not None:
                 self._pending = [s for s in self._pending if s is not seat]
                 self.sched.set_runnable(seat.agent.agent_id, False)
-                self._killed[key] = math.floor(seat.spent * MICRO)
+                self._killed[p] = math.floor(seat.spent * MICRO)
             # The close goes out at once.  A dropped KILL_CHILD is not
             # retried: the orphan bids until its lump is gone, and its
             # spend is settled like any other.
             self.settle()
         elif kind is MessageKind.QUERY_PROGRESS:
-            self.sim.network.send(
-                self.sim.now, self.host_id, msg.sender,
-                MessageKind.PROGRESS_REPORT,
-                {"child_key": p["child_key"], **self._stats(p["child_key"])})
-
-    def _stats(self, child_key: str) -> dict:
-        seat = self.children.get(child_key)
-        if seat is None:
-            # The parent drops reports about children the host never met.
-            return {"known": False}
-        return {"progress": seat.progress, "spent": seat.spent,
-                "funds": seat.agent.balance, "known": True}
+            seat = self.children.get(p)
+            report = Progress(p) if seat is None else Progress(
+                p, seat.progress, seat.spent, seat.agent.balance)
+            self.sim.network.send(self.sim.now, self.host_id, msg.sender,
+                                  MessageKind.PROGRESS_REPORT, report)
 
     def run_slices(self, k0: int, k1: int) -> None:
         """Run slices ``k0 .. k1 - 1``, which hold no event.
@@ -317,7 +309,7 @@ class _HostNode:
         if self.alive and (self.children or self._killed):
             self.sim.network.send(
                 self.sim.now, self.host_id, "bank", MessageKind.TRANSFER,
-                {"cumulative": self.metered(), "close": list(self._killed)})
+                Settle(cumulative=self.metered(), close=list(self._killed)))
 
     def advertise(self) -> None:
         if self.alive:
@@ -350,22 +342,23 @@ class _ParentNode:
     def handle(self, msg) -> None:
         kind, p = msg.kind, msg.payload
         if kind is MessageKind.LOOKUP_RESULT:
-            self.known_hosts = p["hosts"]
+            self.known_hosts = p
             if not self._child_serial and self.known_hosts:
                 self._initial_placement()
         elif kind is MessageKind.PROGRESS_REPORT:
-            child = self.children.get(p["child_key"])
-            if child is None or not p["known"]:
+            child = self.children.get(p.child_key)
+            # Reports about children the host never met are dropped.
+            if child is None or p.progress is None:
                 return
-            child.progress = p["progress"]
-            child.cost = p["spent"]
+            child.progress = p.progress
+            child.cost = p.spent
             child.last_report = self.sim.now
-            if p["funds"] * MICRO < self.lump_micro * self.sim.config.refresh_fraction:
+            if p.funds * MICRO < self.lump_micro * self.sim.config.refresh_fraction:
                 self._fund(child.key, child.host)
         elif kind is MessageKind.TRANSFER:
             # Receipt for an escrow sweep the bank performed for us.
-            self.remaining_micro += p["amount"]
-            self.reclaimed_micro += p["amount"]
+            self.remaining_micro += p
+            self.reclaimed_micro += p
 
     def _initial_placement(self) -> None:
         rng = self.sim.rng
@@ -384,7 +377,7 @@ class _ParentNode:
         self._fund(key, host)
         self.sim.network.send(self.sim.now, self.parent_id, host,
                               MessageKind.SPAWN_CHILD,
-                              {"child_key": key, "activate_at": activate_at})
+                              Spawn(child_key=key, activate_at=activate_at))
 
     def _fund(self, child_key: str, host: str) -> None:
         if self.remaining_micro < self.lump_micro:
@@ -394,16 +387,15 @@ class _ParentNode:
         self.funded_micro += self.lump_micro
         self.sim.network.send(self.sim.now, self.parent_id, "bank",
                               MessageKind.FUND_AUCTIONEER,
-                              {"host": host, "child_key": child_key,
-                               "amount": self.lump_micro})
+                              FundRequest(host=host, child_key=child_key,
+                                          amount=self.lump_micro))
 
     def monitor_query(self) -> None:
         for key, child in self.children.items():
             self.sim.network.send(self.sim.now, self.parent_id, child.host,
-                                  MessageKind.QUERY_PROGRESS,
-                                  {"child_key": key})
+                                  MessageKind.QUERY_PROGRESS, key)
         self.sim.network.send(self.sim.now, self.parent_id, "sls",
-                              MessageKind.LOOKUP, {})
+                              MessageKind.LOOKUP)
 
     def monitor_decide(self) -> None:
         now = self.sim.now
@@ -440,8 +432,7 @@ class _ParentNode:
         # the same report as the child's final spend, so the close can
         # never overtake the last settlement.
         self.sim.network.send(self.sim.now, self.parent_id, old_host,
-                              MessageKind.KILL_CHILD,
-                              {"child_key": child_key})
+                              MessageKind.KILL_CHILD, child_key)
         if reason == "timeout":
             # A silent host is presumed dead and can close nothing, so
             # the bank closes the escrow directly.  Spend the host metered
@@ -449,7 +440,8 @@ class _ParentNode:
             # alive after all, its late report finds the escrow closed and
             # that spend stays unsettled.
             self.sim.network.send(self.sim.now, self.parent_id, "bank",
-                                  MessageKind.TRANSFER, {"close": [child_key]})
+                                  MessageKind.TRANSFER,
+                                  Settle({}, [child_key]))
         self.sim.replacements.append(
             (self.sim.now, self.parent_id, old_host, new_host, reason))
         self._spawn_child(new_host,
@@ -482,7 +474,7 @@ class _BankNode:
         kind, p = msg.kind, msg.payload
         ledger = self.sim.ledger
         if kind is MessageKind.FUND_AUCTIONEER:
-            key = p["child_key"]
+            key = p.child_key
             # Test the ledger, not self.escrows: a close may already have
             # booked a key whose funding was dropped, and its account
             # still has to be opened.
@@ -490,19 +482,19 @@ class _BankNode:
                 ledger.create_account(key)
                 self.escrows[key] = _Escrow(msg.sender)
             try:
-                bank_transfer(ledger, msg.sender, key, p["amount"])
+                bank_transfer(ledger, msg.sender, key, p.amount)
             except InsufficientBalanceError:
                 self.sim.rejected_transfers += 1
                 return
-            self.sim.network.send(self.sim.now, "bank", p["host"],
+            self.sim.network.send(self.sim.now, "bank", p.host,
                                   MessageKind.FUND_AUCTIONEER,
-                                  {"child_key": key, "amount": p["amount"]})
+                                  Fund(child_key=key, amount=p.amount))
         elif kind is MessageKind.TRANSFER:
             # Settlements, paid to the reporting host, come first, so a
             # host's close applies its final spend before the sweep.
-            for key, total in p.get("cumulative", {}).items():
+            for key, total in p.cumulative.items():
                 self._settle(key, msg.sender, total)
-            for key in p["close"]:
+            for key in p.close:
                 self._close(key)
 
     def _settle(self, key: str, host: str, total: int) -> None:
@@ -537,7 +529,7 @@ class _BankNode:
         if amount:
             bank_transfer(self.sim.ledger, key, books.owner, amount)
             self.sim.network.send(self.sim.now, "bank", books.owner,
-                                  MessageKind.TRANSFER, {"amount": amount})
+                                  MessageKind.TRANSFER, amount)
 
 
 class _SLSNode:
@@ -551,7 +543,7 @@ class _SLSNode:
         elif msg.kind is MessageKind.LOOKUP:
             hosts = self.registry.lookup(self.sim.now)
             self.sim.network.send(self.sim.now, "sls", msg.sender,
-                                  MessageKind.LOOKUP_RESULT, {"hosts": hosts})
+                                  MessageKind.LOOKUP_RESULT, hosts)
 
 
 class HarnessSim:
@@ -622,7 +614,7 @@ class HarnessSim:
             if k == 0:
                 for parent in self.parents:
                     self.network.send(self.now, parent.parent_id, "sls",
-                                      MessageKind.LOOKUP, {})
+                                      MessageKind.LOOKUP)
             if funding_tick:
                 for account in providers:
                     drained[account] += self.ledger.balance(account)

@@ -49,11 +49,13 @@ class SchedulerKind(Enum):
 
 
 class FundingMode(Enum):
-    """How auction agents receive income.
+    """How auction agents receive income at their rate.
 
-    PERIODIC deposits rate * interval at every interval boundary, the way
-    a parent agent tops up its children on a schedule.  POISSON draws the
-    gaps from gen_funding_events instead.  Periodic is the default: the
+    PERIODIC deposits one interval's worth of credits, ``interval``, every
+    ``interval / rate`` seconds, the way a parent agent tops up its
+    children on a schedule.  POISSON draws the gaps from
+    gen_funding_events: exponential with mean ``interval``, each
+    depositing ``rate * gap``.  Periodic is the default: the
     error statistic is taken over a window that is a whole number of
     intervals, and stochastic gaps leave an edge gap of O(interval) per
     agent that swamps a few-percent error band.
@@ -123,13 +125,18 @@ class HostSimConfig:
             raise ConfigError(
                 "weights: need a web process plus at least one batch "
                 "process, all with positive finite weight")
-        if (self.funding_mode is FundingMode.PERIODIC
-                and self.funding_mean_interval / max(self.weights)
-                < self.timeslice_length):
-            # The richest agent is topped up every interval / weight.
+        # The richest agent is topped up every interval / weight; Poisson
+        # gaps have mean interval.  Either way an agent's deposits number
+        # about num_timeslices at most.
+        if self.funding_mode is FundingMode.PERIODIC:
+            gap, rule = (self.funding_mean_interval / max(self.weights),
+                         "interval / largest weight")
+        else:
+            gap, rule = self.funding_mean_interval, "mean gap"
+        if gap < self.timeslice_length:
             raise ConfigError(
                 "funding_mean_interval: more than one deposit per agent per "
-                "slice (interval / largest weight < timeslice_length)")
+                f"slice ({rule} < timeslice_length)")
         if not 0.0 <= self.web.request_probability <= 1.0:
             raise ConfigError("web.request_probability: must be in [0, 1]")
         if self.web.service_demand != self.timeslice_length:
@@ -143,6 +150,20 @@ class HostSimConfig:
         if not 0 <= self.initial_funding_intervals < np.inf:
             raise ConfigError(
                 "initial_funding_intervals: must be >= 0 and finite")
+        # An auction agent holds at most its start balance plus its income
+        # over the run.  An infinite balance outbids everyone for good, or
+        # cannot be deposited at all.
+        income = (max(self.weights) * self.num_timeslices
+                  * self.timeslice_length)
+        if not np.isfinite(income):
+            raise ConfigError(
+                f"weights: income over the run, {income}, overflows")
+        start = (sum(self.weights) * self.funding_mean_interval
+                 * self.initial_funding_intervals)
+        if not np.isfinite(start + income):
+            raise ConfigError(
+                f"initial_funding_intervals: start balance {start} plus "
+                f"income {income} overflows")
 
 
 @dataclass
@@ -159,21 +180,25 @@ class HostMetrics:
 
 
 def gen_funding_events(
-    income_rate: float, duration: float, seed
+    income_rate: float, mean_interval: float, duration: float, seed
 ) -> list[tuple[float, float]]:
     """Poisson funding events over [0, duration).
 
-    Interarrival gaps are exponential with mean one second; each event
-    deposits ``income_rate * gap`` credits, so deposits sum to roughly
-    ``income_rate * duration`` over long horizons.
+    Interarrival gaps are exponential with mean ``mean_interval``; each
+    event deposits ``income_rate * gap`` credits, so deposits sum to
+    roughly ``income_rate * duration`` over long horizons, as periodic
+    funding's do.
     """
     if income_rate <= 0:
         raise ValueError(f"income_rate {income_rate} must be positive")
+    if mean_interval <= 0:
+        # Zero-length gaps would never reach the end of the run.
+        raise ValueError(f"mean_interval {mean_interval} must be positive")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     events = []
     t = 0.0
     while True:
-        gap = rng.exponential(1.0)
+        gap = rng.exponential(mean_interval)
         t += gap
         if t >= duration:
             return events
@@ -409,8 +434,8 @@ def _run_auction(config, funding_seed, queue):
             ]
         else:
             events = gen_funding_events(
-                rate, duration, np.random.default_rng(agent_seeds[pid])
-            )
+                rate, interval, duration,
+                np.random.default_rng(agent_seeds[pid]))
         for t, amount in events:
             j = _first_slice_at(t, dt, n)
             if j < n:

@@ -359,6 +359,44 @@ def test_too_many_host_slices_exit_2_naming_the_field(
     assert cli.main(["validate", "--config", conf]) == 0
 
 
+# Each passed `validate`.  A one-second Poisson clock against 1e300 s
+# slices set out to draw about 1e303 gaps; an infinite start balance ran
+# and served no request; infinite income failed mid-run with "cannot
+# deposit inf", naming no field.  None of them is ever run.
+HOST_FUNDING = [
+    ("host.funding_mean_interval",
+     {"funding_mode": "poisson", "timeslice_length": 1e300,
+      "web": {"service_demand": 1e300}, "num_timeslices": 1000},
+     "mean gap < timeslice_length"),
+    ("host.initial_funding_intervals",
+     {"initial_funding_intervals": 1e308, "weights": [100, 100],
+      "num_timeslices": 3000}, "overflows"),
+    ("host.weights",
+     {"funding_mode": "poisson", "weights": [1e308, 1e308]}, "overflows"),
+]
+
+
+@pytest.mark.parametrize("field,block,says", HOST_FUNDING,
+                         ids=[field for field, _, _ in HOST_FUNDING])
+def test_host_funding_out_of_bounds_exits_2_naming_the_field(
+        tmp_path, capsys, monkeypatch, field, block, says):
+    def must_not_run(config):
+        raise AssertionError("the host run started")
+
+    monkeypatch.setattr(cli, "run_host_sim", must_not_run)
+    assert_exit_2_naming(
+        tmp_path, capsys, field,
+        {"host": {"scheduler": "auction_share", **block}}, [], says=says)
+
+
+@pytest.mark.parametrize("conf", [
+    *sorted((Path(__file__).resolve().parents[1] / "perfbench"
+             / "configs").glob("*.json")), None], ids=str)
+def test_bench_configs_and_defaults_validate(tmp_path, conf):
+    conf = str(conf) if conf else write_json(tmp_path, {})
+    assert cli.main(["validate", "--config", conf]) == 0
+
+
 def test_resolved_config_is_stable_and_complete():
     resolved = resolved_config({}, Experiment.HOST, [42], 1)
     assert resolved["host"]["scheduler"] == "proportional_share"

@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 from tycoon_sim import cli
 from tycoon_sim.errors import ConfigError
 from tycoon_sim.harness.bank import MICRO, PolicyKind, credits_to_micro
-from tycoon_sim.harness.messages import MessageKind
+from tycoon_sim.harness.messages import (
+    Fund,
+    FundRequest,
+    MessageKind,
+    Network,
+    Progress,
+    Settle,
+    Spawn,
+)
 from tycoon_sim.harness.scenario import (
     HarnessSim,
     ParentJob,
@@ -233,11 +241,49 @@ def test_reclaim_from_an_unopened_escrow_is_a_rejected_transfer():
     # account that the replacement's reclaim TRANSFER sweeps.
     sim = HarnessSim(scenario())
     sim.network.send(0.0, "parent:0", "bank", MessageKind.TRANSFER,
-                     {"close": ["parent:0/c0"]})
+                     Settle({}, ["parent:0/c0"]))
     sim.network.pump(0.0)
     assert sim.rejected_transfers == 1
     assert sim.parents[0].reclaimed_micro == 0
     assert sim.ledger.total_balance() == sim.ledger.total_issued
+
+
+#: The payload type of every (kind, recipient role) pair the harness sends.
+PROTOCOL = {
+    (MessageKind.SPAWN_CHILD, "host"): Spawn,
+    (MessageKind.FUND_AUCTIONEER, "bank"): FundRequest,
+    (MessageKind.FUND_AUCTIONEER, "host"): Fund,
+    (MessageKind.KILL_CHILD, "host"): str,
+    (MessageKind.QUERY_PROGRESS, "host"): str,
+    (MessageKind.PROGRESS_REPORT, "parent"): Progress,
+    (MessageKind.TRANSFER, "bank"): Settle,
+    (MessageKind.TRANSFER, "parent"): int,
+    (MessageKind.ADVERTISE, "sls"): type(None),
+    (MessageKind.LOOKUP, "sls"): type(None),
+    (MessageKind.LOOKUP_RESULT, "parent"): list,
+}
+
+
+@pytest.mark.parametrize("policy_kind", list(PolicyKind))
+def test_each_kind_carries_one_payload_type_per_recipient(monkeypatch,
+                                                         policy_kind):
+    # A lossy run with a kill sends every pair: the kill brings timeout
+    # closes, replacements and escrow sweeps back to the parents.
+    seen = {}
+    send = Network.send
+
+    def spy(self, now, sender, recipient, kind, payload=None):
+        role = recipient.split(":")[0]
+        seen.setdefault((kind, role), set()).add(type(payload))
+        send(self, now, sender, recipient, kind, payload)
+
+    monkeypatch.setattr(Network, "send", spy)
+    report = run_harness_scenario(scenario(
+        num_hosts=3, duration=40.0, parents=(job(), job()),
+        policy_kind=policy_kind, message_latency=0.02, drop_probability=0.1,
+        report_timeout=6.0, kill_hosts=((15.0, 2),)))
+    assert report.messages_dropped > 0
+    assert seen == {pair: {kind} for pair, kind in PROTOCOL.items()}
 
 
 @st.composite
@@ -282,12 +328,12 @@ def run_noting_settlements(cfg):
     def spy(msg):
         p = msg.payload
         if msg.kind is MessageKind.TRANSFER:
-            for key, total in p.get("cumulative", {}).items():
+            for key, total in p.cumulative.items():
                 if key not in closed:
                     told[key] = total
-            closed.update(p["close"])
+            closed.update(p.close)
         elif msg.kind is MessageKind.FUND_AUCTIONEER:
-            funded_at.setdefault(p["child_key"], set()).add(p["host"])
+            funded_at.setdefault(p.child_key, set()).add(p.host)
         handle(msg)
 
     sim.network.register("bank", spy)

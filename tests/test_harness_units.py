@@ -25,7 +25,15 @@ from tycoon_sim.harness.bank import (
     credits_to_micro,
     micro_to_credits,
 )
-from tycoon_sim.harness.messages import Message, MessageKind, Network
+from tycoon_sim.harness.messages import (
+    Fund,
+    FundRequest,
+    Message,
+    MessageKind,
+    Network,
+    Settle,
+    Spawn,
+)
 from tycoon_sim.harness import scenario
 from tycoon_sim.harness.scenario import HarnessSim, ScenarioConfig
 from tycoon_sim.harness.sls import ServiceLocator
@@ -334,20 +342,18 @@ def one_host():
     return sim, host, pushed
 
 
-def to_host(kind, **payload):
+def to_host(kind, payload):
     return Message(delivery_time=0.0, sender="parent:0", seq=0,
                    recipient="host:0", kind=kind, payload=payload)
 
 
 def test_seat_killed_before_activation_never_enters_the_heap():
     sim, host, pushed = one_host()
-    host.handle(to_host(MessageKind.SPAWN_CHILD, child_key="p/c0",
-                        activate_at=0.5))
-    host.handle(to_host(MessageKind.FUND_AUCTIONEER, child_key="p/c0",
-                        amount=MICRO))
+    host.handle(to_host(MessageKind.SPAWN_CHILD, Spawn("p/c0", 0.5)))
+    host.handle(to_host(MessageKind.FUND_AUCTIONEER, Fund("p/c0", MICRO)))
     agent_id = host.children["p/c0"].agent.agent_id
     host.run_slices(0, 20)
-    host.handle(to_host(MessageKind.KILL_CHILD, child_key="p/c0"))
+    host.handle(to_host(MessageKind.KILL_CHILD, "p/c0"))
     host.run_slices(20, 100)
     assert pushed == []
     assert agent_id not in host.sched.heap
@@ -359,8 +365,7 @@ def test_seats_due_in_one_slice_enter_the_heap_in_open_order():
     # Opened in key order; due in a different order, all by t = 0.3.
     due = {"p/c0": 0.3, "p/c1": 0.1, "p/c2": 0.2}
     for key, at in due.items():
-        host.handle(to_host(MessageKind.SPAWN_CHILD, child_key=key,
-                            activate_at=at))
+        host.handle(to_host(MessageKind.SPAWN_CHILD, Spawn(key, at)))
     ids = [host.children[key].agent.agent_id for key in due]
     host.run_slices(5, 6)
     assert pushed == []
@@ -374,10 +379,8 @@ def test_seats_due_inside_a_window_enter_the_heap_on_their_slice():
     # 57 * 0.01 is 0.5700000000000001, so a seat due at 0.57 runs from
     # slice 57; one due at 0.105 runs from slice 11, the first at or after.
     for key, at in (("p/c0", 0.57), ("p/c1", 0.105)):
-        host.handle(to_host(MessageKind.SPAWN_CHILD, child_key=key,
-                            activate_at=at))
-        host.handle(to_host(MessageKind.FUND_AUCTIONEER, child_key=key,
-                            amount=MICRO))
+        host.handle(to_host(MessageKind.SPAWN_CHILD, Spawn(key, at)))
+        host.handle(to_host(MessageKind.FUND_AUCTIONEER, Fund(key, MICRO)))
     first, second = (host.children[key].agent.agent_id
                      for key in ("p/c0", "p/c1"))
     entered = {}
@@ -398,10 +401,8 @@ def test_seats_due_inside_a_window_enter_the_heap_on_their_slice():
 
 def test_each_stretch_is_one_run_rounds_call_whatever_its_length():
     sim, host, pushed = one_host()
-    host.handle(to_host(MessageKind.SPAWN_CHILD, child_key="p/c0",
-                        activate_at=0.0))
-    host.handle(to_host(MessageKind.FUND_AUCTIONEER, child_key="p/c0",
-                        amount=MICRO))
+    host.handle(to_host(MessageKind.SPAWN_CHILD, Spawn("p/c0", 0.0)))
+    host.handle(to_host(MessageKind.FUND_AUCTIONEER, Fund("p/c0", MICRO)))
     rounds, singles = [], []
     run_slice, run_rounds = host.sched.run_slice, host.sched.run_rounds
     host.sched.run_rounds = lambda n: rounds.append(n) or run_rounds(n)
@@ -427,8 +428,7 @@ def test_idle_host_counts_its_slices_and_holds_no_round():
     assert rounds == []
     assert host.sched.slice_index == 0
     # A seat that never activates in the window holds no round either.
-    host.handle(to_host(MessageKind.SPAWN_CHILD, child_key="p/c0",
-                        activate_at=5.0))
+    host.handle(to_host(MessageKind.SPAWN_CHILD, Spawn("p/c0", 5.0)))
     host.run_slices(60, 100)
     assert (host.slices_alive, host.sched.slice_index, rounds) == (100, 0, [])
 
@@ -497,15 +497,14 @@ def bank_with_escrow(lump):
     sim.bank.handle(Message(
         delivery_time=0.0, sender="parent:0", seq=0, recipient="bank",
         kind=MessageKind.FUND_AUCTIONEER,
-        payload={"host": "host:0", "child_key": CHILD, "amount": lump}))
+        payload=FundRequest("host:0", CHILD, lump)))
     return sim
 
 
 def report(total, close=()):
     return Message(delivery_time=0.0, sender="host:0", seq=0,
                    recipient="bank", kind=MessageKind.TRANSFER,
-                   payload={"cumulative": {CHILD: total},
-                            "close": list(close)})
+                   payload=Settle({CHILD: total}, list(close)))
 
 
 def test_duplicate_and_stale_reports_move_nothing():

@@ -30,16 +30,19 @@ SMALL = dict(num_timeslices=400, warmup_slices=50)
 
 
 def test_funding_totals_track_rate_times_duration():
-    totals = []
+    totals, counts = [], []
     for seed in range(120):
-        events = gen_funding_events(2.0, 1000.0, seed)
+        events = gen_funding_events(2.0, 0.5, 1000.0, seed)
         totals.append(sum(amount for _, amount in events))
+        counts.append(len(events))
     mean_total = float(np.mean(totals))
     assert abs(mean_total - 2000.0) / 2000.0 < 0.10
+    # Gaps have the mean interval asked for: 1000 s / 0.5 s events.
+    assert abs(float(np.mean(counts)) - 2000.0) / 2000.0 < 0.10
 
 
 def test_funding_events_ordered_and_in_range():
-    events = gen_funding_events(1.5, 50.0, 3)
+    events = gen_funding_events(1.5, 1.0, 50.0, 3)
     times = [t for t, _ in events]
     assert times == sorted(times)
     assert all(0 < t < 50.0 for t in times)
@@ -47,16 +50,19 @@ def test_funding_events_ordered_and_in_range():
 
 
 def test_funding_zero_duration_empty():
-    assert gen_funding_events(1.0, 0.0, 1) == []
+    assert gen_funding_events(1.0, 1.0, 0.0, 1) == []
 
 
 def test_funding_fixed_seed_reproducible():
-    assert gen_funding_events(3.0, 200.0, 9) == gen_funding_events(3.0, 200.0, 9)
+    assert gen_funding_events(3.0, 2.0, 200.0, 9) \
+        == gen_funding_events(3.0, 2.0, 200.0, 9)
 
 
 def test_funding_rejects_nonpositive_rate():
     with pytest.raises(ValueError):
-        gen_funding_events(0.0, 10.0, 1)
+        gen_funding_events(0.0, 1.0, 10.0, 1)
+    with pytest.raises(ValueError):
+        gen_funding_events(1.0, 0.0, 10.0, 1)
 
 
 # -- latency measurement --------------------------------------------------
@@ -113,6 +119,8 @@ def test_config_validate_rejects_bad_values():
         dict(funding_mean_interval=0.0),
         # Weight 4 would be topped up every 7.5 ms, inside one 10 ms slice.
         dict(funding_mean_interval=0.03),
+        # Poisson gaps of 5 ms on average, two deposits a slice.
+        dict(funding_mean_interval=0.005, funding_mode=FundingMode.POISSON),
         dict(initial_funding_intervals=-1.0),
     ]
     for overrides in bad:
@@ -123,7 +131,7 @@ def test_config_validate_rejects_bad_values():
     HostSimConfig(timeslice_length=0.02,
                   web=WorkloadSpec(service_demand=0.02)).validate()
     # One deposit a slice for the richest agent is still allowed, and
-    # Poisson gaps do not depend on the interval.
+    # Poisson gaps need only a mean of a slice, whatever the weights.
     HostSimConfig(funding_mean_interval=0.04).validate()
     HostSimConfig(funding_mean_interval=0.03,
                   funding_mode=FundingMode.POISSON).validate()
@@ -395,8 +403,8 @@ def per_slice_auction(config, arrivals, offsets, funding_seed, queue,
             ]
         else:
             events[pid] = gen_funding_events(
-                rate, duration, np.random.default_rng(agent_seeds[pid])
-            )
+                rate, interval, duration,
+                np.random.default_rng(agent_seeds[pid]))
 
     cursors = {pid: 0 for pid in events}
     lo = config.warmup_slices
@@ -574,9 +582,6 @@ def test_host_time_scaling_is_exact(kind, yields, price_mode, weights, seed,
     assert_time_scales(config, 2.0 ** power)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "gen_funding_events draws its gaps with a mean of one second whatever "
-    "funding_mean_interval is, so Poisson deposits do not scale with time"))
 def test_host_time_scaling_is_exact_under_poisson_funding():
     assert_time_scales(HostSimConfig(
         **SMALL, scheduler=SchedulerKind.AUCTION_SHARE,

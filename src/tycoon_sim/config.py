@@ -28,7 +28,7 @@ from enum import Enum
 
 from .errors import ConfigError, TycoonError
 from .harness.scenario import ScenarioConfig
-from .hostsim import HostSimConfig
+from .hostsim import HostSimConfig, comparison_rows
 from .market import MAX_EXPECTED_TASKS, Behavior, MarketConfig
 
 __all__ = [
@@ -183,12 +183,15 @@ def _build(cls, block, where: str, seed: int | None = None):
     kwargs = _fields(cls, block, where)
     if seed is not None:
         kwargs["rng_seed"] = seed
-    built = cls(**kwargs)
+    return _validated(cls(**kwargs), where)
+
+
+def _validated(built, where: str, context: str = ""):
     try:
         # validate() messages start with the field they name.
         built.validate()
     except TycoonError as exc:
-        raise ConfigError(f"invalid {where}.{exc}") from None
+        raise ConfigError(f"invalid {where}.{exc}{context}") from None
     return built
 
 
@@ -264,8 +267,9 @@ def effective_seeds(seeds: list[int], repetitions: int) -> list[int]:
 def validate_config(doc: dict) -> None:
     """Reject unknown keys and invalid parameter values everywhere.
 
-    All module blocks are checked regardless of the selected experiment
-    so a config stays valid when reused across experiments.
+    A block reused across experiments must be valid for every run built
+    from it, so every block is checked, and the host block also as each
+    row ``table1`` builds from it, auction rows included.
     """
     _check_keys(doc, _TOP_KEYS, "config")
     seeds = _value(tuple[int, ...], doc.get("seeds", []), "seeds")
@@ -277,7 +281,9 @@ def validate_config(doc: dict) -> None:
         raise ConfigError("invalid repetitions: must be >= 1")
     _check_seed_count(max(len(seeds), 1), repetitions)
     _check_distinct_seeds(seeds, repetitions)
-    build_host_config(doc.get("host", {}))
+    host = build_host_config(doc.get("host", {}))
+    for label, row in comparison_rows(host):
+        _validated(row, "host", f" (table1 row {label})")
     market = build_market_config(doc.get("market", {}))
     build_harness_config(doc.get("harness", {}))
     interarrivals, _ = sweep_points(doc)
@@ -294,8 +300,9 @@ def _plain(value):
     if isinstance(value, Enum):
         return value.value
     if dataclasses.is_dataclass(value):
+        # The seed list names the seeds; a block's default seed never ran.
         return {f.name: _plain(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
+                for f in dataclasses.fields(value) if f.name != "rng_seed"}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     return value
@@ -303,19 +310,27 @@ def _plain(value):
 
 def resolved_config(doc: dict, experiment: Experiment,
                     seeds: list[int], repetitions: int) -> dict:
-    """The fully resolved configuration a run's config hash covers.
-
-    Defaults are filled in by building every module config, so two
-    documents that spell the same experiment differently hash alike.
-    The output directory is deliberately excluded: where results land
-    does not change what they are.
+    """What a run's config hash covers: the experiment, its seeds and
+    repetitions, and only what that experiment reads of ``doc``, with
+    defaults filled in so that two spellings of one run hash alike.
     """
-    return {
-        "experiment": experiment.value,
-        "seeds": list(seeds),
-        "repetitions": repetitions,
-        "host": _plain(build_host_config(doc.get("host", {}))),
-        "market": _plain(build_market_config(doc.get("market", {}))),
-        "harness": _plain(build_harness_config(doc.get("harness", {}))),
-        "sweep": _plain(_build(SweepConfig, doc.get("sweep", {}), "sweep")),
-    }
+    resolved = {"experiment": experiment.value, "seeds": list(seeds),
+                "repetitions": repetitions}
+    if experiment is Experiment.HOST:
+        resolved["host"] = _plain(build_host_config(doc.get("host", {})))
+    elif experiment is Experiment.TABLE1:
+        # The rows set the block's scheduler, weights and yield hint.
+        rows = comparison_rows(build_host_config(doc.get("host", {})))
+        resolved["table1"] = {label: _plain(row) for label, row in rows}
+    elif experiment is Experiment.HARNESS:
+        resolved["harness"] = _plain(
+            build_harness_config(doc.get("harness", {})))
+    else:
+        market = resolved["market"] = _plain(
+            build_market_config(doc.get("market", {})))
+        if experiment is Experiment.FIGURE1:
+            # Every sweep point sets its own behavior and interarrival.
+            del market["behavior"], market["mean_task_interarrival"]
+            resolved["sweep"] = _plain(
+                _build(SweepConfig, doc.get("sweep", {}), "sweep"))
+    return resolved

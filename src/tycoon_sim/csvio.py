@@ -1,8 +1,8 @@
 """Deterministic CSV emission for experiment results.
 
 Every table starts with a ``# config-hash: <hex>`` comment naming the
-fully resolved configuration that produced it, so a result file can be
-matched to its inputs long after the run.  Floats are rendered to six
+inputs that produced it (``config.resolved_config``), so a result file
+can be matched to its inputs long after the run.  Floats are rendered to six
 significant digits; reruns with the same configuration and seeds must
 produce byte-identical bodies.
 """
@@ -22,7 +22,7 @@ __all__ = [
 
 
 def config_hash(config: dict) -> str:
-    """Hex digest of a fully resolved configuration mapping.
+    """Hex digest of a configuration mapping.
 
     The mapping is canonicalized (sorted keys, no whitespace) before
     hashing so key order in the source document cannot change the hash.

@@ -3,7 +3,7 @@
 The host runs 10 ms timeslices.  Three batch processes are always
 runnable; a web server receives a request during each slice with
 probability 0.1 (uniform arrival offset within the slice) and each
-request needs 10 ms of CPU.  A well-behaved web server yields the CPU
+request takes one whole slice.  A well-behaved web server yields the CPU
 whenever its queue is empty; a misbehaving one stays runnable and burns
 its full allocation on filler work.
 
@@ -67,14 +67,13 @@ class FundingMode(Enum):
 
 @dataclass
 class WorkloadSpec:
-    """Shape of one process's demand.
+    """The web server's demand: its request stream and yielding behavior.
 
-    Batch processes are always runnable and need no parameters; the web
-    server is described by its request stream and yielding behavior.
+    Batch processes are always runnable and need no parameters.  A
+    served request takes one whole slice.
     """
 
     request_probability: float = 0.1
-    service_demand: float = 0.010
     yields_cpu: bool = True
 
 
@@ -111,8 +110,7 @@ class HostSimConfig:
     price_mode: PriceMode = PriceMode.SECOND_PRICE
 
     def validate(self) -> None:
-        for name in ("num_timeslices", "timeslice_length",
-                     "funding_mean_interval"):
+        for name in ("num_timeslices", "timeslice_length"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ConfigError(f"{name}: must be > 0 and finite")
         if self.num_timeslices > MAX_TIMESLICES:
@@ -125,6 +123,14 @@ class HostSimConfig:
             raise ConfigError(
                 "weights: need a web process plus at least one batch "
                 "process, all with positive finite weight")
+        if not 0.0 <= self.web.request_probability <= 1.0:
+            raise ConfigError("web.request_probability: must be in [0, 1]")
+        if not 0.0 < self.web_intended_share < 1.0:
+            raise ConfigError("web_intended_share: must be in (0, 1)")
+        if self.scheduler is not SchedulerKind.AUCTION_SHARE:
+            return  # a stride run reads no funding field
+        if not 0 < self.funding_mean_interval < np.inf:
+            raise ConfigError("funding_mean_interval: must be > 0 and finite")
         # The richest agent is topped up every interval / weight; Poisson
         # gaps have mean interval.  Either way an agent's deposits number
         # about num_timeslices at most.
@@ -137,16 +143,6 @@ class HostSimConfig:
             raise ConfigError(
                 "funding_mean_interval: more than one deposit per agent per "
                 f"slice ({rule} < timeslice_length)")
-        if not 0.0 <= self.web.request_probability <= 1.0:
-            raise ConfigError("web.request_probability: must be in [0, 1]")
-        if self.web.service_demand != self.timeslice_length:
-            # A served request takes one whole slice; any other demand
-            # would only rescale the web server's intended share.
-            raise ConfigError(
-                f"web.service_demand: {self.web.service_demand} is not "
-                f"timeslice_length {self.timeslice_length}")
-        if not 0.0 < self.web_intended_share < 1.0:
-            raise ConfigError("web_intended_share: must be in (0, 1)")
         if not 0 <= self.initial_funding_intervals < np.inf:
             raise ConfigError(
                 "initial_funding_intervals: must be >= 0 and finite")
@@ -309,7 +305,8 @@ def _host_metrics(config, records, slice_counts) -> HostMetrics:
     window = hi - lo
     busy = sum(slice_counts.values())
     shares = {pid: c / window for pid, c in slice_counts.items()}
-    web_demand = len(in_window) * config.web.service_demand / (window * dt)
+    # Not len(in_window) / window, which may round differently.
+    web_demand = len(in_window) * dt / (window * dt)
 
     intended = _intended_shares(config, web_demand)
     actual = {pid: shares[pid] for pid in intended}

@@ -49,9 +49,6 @@ def pytest_collection_modifyitems(config, items):
     deep = config.getoption("hypothesis_profile") == "deep"
     scaled = set()
     for item in items:
-        match = re.search(r"test_criterion_(\d+)", item.name)
-        if match:
-            _COLLECTED.add(int(match.group(1)))
         test = getattr(item, "obj", None)
         # A property's own settings are fixed when its module is imported;
         # scale each one once, however many items parametrize it.
@@ -60,6 +57,14 @@ def pytest_collection_modifyitems(config, items):
             own = test._hypothesis_internal_use_settings
             test._hypothesis_internal_use_settings = settings(
                 own, max_examples=own.max_examples * DEEP_FACTOR)
+
+
+def pytest_collection_finish(session):
+    # After -k and -m have deselected, so only criteria that run print.
+    for item in session.items:
+        match = re.search(r"test_criterion_(\d+)", item.name)
+        if match:
+            _COLLECTED.add(int(match.group(1)))
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -366,7 +366,7 @@ def test_too_many_host_slices_exit_2_naming_the_field(
 HOST_FUNDING = [
     ("host.funding_mean_interval",
      {"funding_mode": "poisson", "timeslice_length": 1e300,
-      "web": {"service_demand": 1e300}, "num_timeslices": 1000},
+      "num_timeslices": 1000},
      "mean gap < timeslice_length"),
     ("host.initial_funding_intervals",
      {"initial_funding_intervals": 1e308, "weights": [100, 100],
@@ -397,19 +397,64 @@ def test_bench_configs_and_defaults_validate(tmp_path, conf):
     assert cli.main(["validate", "--config", conf]) == 0
 
 
-def test_resolved_config_is_stable_and_complete():
+def test_stride_block_runs_with_weights_the_auction_would_reject(
+        tmp_path, capsys):
+    # A stride run reads no funding field, and table1's rows set their
+    # own weights, so a weight the auction's deposit bound rejects is
+    # harmless here.
+    block = {"scheduler": "proportional_share", "weights": [1000, 1]}
+    conf = write_json(tmp_path, {"host": block})
+    assert cli.main(["validate", "--config", conf]) == 0
+    for experiment in ("host", "table1"):
+        assert cli.main(["run", "--experiment", experiment, "--config", conf,
+                         "--seed", "1", "--out", str(tmp_path / "stride")]) == 0
+    capsys.readouterr()
+    assert_exit_2_naming(
+        tmp_path, capsys, "host.funding_mean_interval",
+        {"host": {**block, "scheduler": "auction_share"}}, [],
+        says="interval / largest weight < timeslice_length")
+
+
+def test_table1_auction_rows_hold_a_stride_block_to_the_funding_bounds(
+        tmp_path, capsys):
+    # The block is a valid stride run, but table1 builds auction rows
+    # from it: weight 4 would be topped up every 1.25 ms.
+    block = {"funding_mean_interval": 0.005}
+    assert build_host_config(block).scheduler is SchedulerKind.PROPORTIONAL_SHARE
+    assert_exit_2_naming(tmp_path, capsys, "host.funding_mean_interval",
+                         {"host": block}, [],
+                         says="(table1 row as-1/10-yield)")
+
+
+def test_resolved_config_is_stable_and_holds_what_the_run_reads():
+    def blocks(experiment):
+        return set(resolved_config({}, experiment, [42], 1)) - {
+            "experiment", "seeds", "repetitions"}
+
+    assert {e: blocks(e) for e in Experiment} == {
+        Experiment.HOST: {"host"}, Experiment.TABLE1: {"table1"},
+        Experiment.MARKET: {"market"}, Experiment.HARNESS: {"harness"},
+        Experiment.FIGURE1: {"market", "sweep"}}
     resolved = resolved_config({}, Experiment.HOST, [42], 1)
     assert resolved["host"]["scheduler"] == "proportional_share"
-    assert resolved["market"]["num_users"] == 100
-    assert resolved["harness"]["parents"][0]["total_credits"] == 4.0
+    # The seed list names the seeds; no block's default seed is hashed.
+    assert "rng_seed" not in resolved["host"]
+    rows = resolved_config({}, Experiment.TABLE1, [42], 1)["table1"]
+    assert list(rows) == [label for label, _ in hostsim.comparison_rows()]
+    assert rows["as-1/10-noyield"]["scheduler"] == "auction_share"
+    assert rows["ps-7/10-yield"]["weights"] == [21, 2, 3, 4]
+    market = resolved_config({}, Experiment.FIGURE1, [42], 1)["market"]
+    assert market["num_users"] == 100
+    assert not {"behavior", "mean_task_interarrival", "rng_seed"} & set(market)
     # Spelling a default explicitly must not change the hash.
     spelled = resolved_config({"host": {"num_timeslices": 1000}},
                               Experiment.HOST, [42], 1)
     assert config_hash(spelled) == config_hash(resolved)
     # An integer spelling of a float field is stored as that float.
+    harness = resolved_config({}, Experiment.HARNESS, [42], 1)
     integral = resolved_config({"harness": {"duration": 60}},
-                               Experiment.HOST, [42], 1)
-    assert config_hash(integral) == config_hash(resolved)
+                               Experiment.HARNESS, [42], 1)
+    assert config_hash(integral) == config_hash(harness)
 
 
 # -- command line ---------------------------------------------------------------
@@ -424,6 +469,49 @@ def smoke_doc():
                                  "deadline_minutes": 1.0, "num_hosts": 1}]},
         "sweep": {"interarrivals": [60], "behaviors": ["obedient"]},
     }
+
+
+# (experiment, one edited field, whether the experiment reads it).  Until
+# the hash covered only what a run reads, every edit in every block moved
+# every experiment's hash line.
+HASH_EDITS = [
+    ("table1", {"market": {"num_users": 11}}, False),
+    ("harness", {"market": {"num_users": 11}}, False),
+    ("host", {"harness": {"duration": 4.0}}, False),
+    ("market", {"sweep": {"interarrivals": [50]}}, False),
+    # table1's rows set the scheduler, weights and yield hint themselves.
+    ("table1", {"host": {"weights": [1, 1]}}, False),
+    ("table1", {"host": {"scheduler": "auction_share"}}, False),
+    ("table1", {"host": {"web": {"yields_cpu": False}}}, False),
+    # Every sweep point sets its own behavior and interarrival.
+    ("figure1", {"market": {"behavior": "strategic_market"}}, False),
+    ("figure1", {"market": {"mean_task_interarrival": 50}}, False),
+    ("host", {"host": {"weights": [1, 1]}}, True),
+    ("table1", {"host": {"num_timeslices": 150}}, True),
+    ("figure1", {"sweep": {"interarrivals": [50]}}, True),
+    ("figure1", {"market": {"num_users": 11}}, True),
+    ("market", {"market": {"behavior": "strategic_market"}}, True),
+    ("harness", {"harness": {"duration": 4.0}}, True),
+]
+
+
+@pytest.mark.parametrize("experiment,edit,reads", HASH_EDITS,
+                         ids=[f"{e}-{json.dumps(edit)}"
+                              for e, edit, _ in HASH_EDITS])
+def test_hash_line_moves_only_for_a_field_the_run_reads(tmp_path, experiment,
+                                                        edit, reads):
+    (block, values), = edit.items()
+    edited = smoke_doc()
+    edited[block] = {**edited[block], **values}
+    digests = []
+    for name, doc in (("base", smoke_doc()), ("edited", edited)):
+        conf = write_json(tmp_path, doc, f"{name}.json")
+        out = tmp_path / name
+        assert cli.main(["run", "--experiment", experiment, "--config", conf,
+                         "--seed", "1", "--out", str(out)]) == 0
+        digests.append({path.name: read_csv(path)[0]
+                        for path in sorted(out.glob("*.csv"))})
+    assert (digests[0] != digests[1]) == reads
 
 
 # (dotted field, document fragment) pairs that `validate` once crashed
@@ -464,12 +552,10 @@ BAD_DOCUMENTS = [
                   "kill_hosts": [[100.0, 1]]}}),
     ("harness.parents[0].num_hosts",
      {"harness": {"num_hosts": 1, "parents": [{"num_hosts": 2}]}}),
-    ("host.web.service_demand", {"host": {"timeslice_length": 1e-300}}),
-    ("host.web.service_demand", {"host": {"web": {"service_demand": 0.02}}}),
-    # A served request takes one whole slice, so a smaller demand was
-    # accepted and only rescaled the web server's intended share.
-    ("host.web.service_demand: 0.005 is not timeslice_length",
-     {"host": {"web": {"service_demand": 0.005}}}),
+    # A served request takes one whole slice; a demand of any other
+    # length was accepted and only rescaled the web server's share.
+    ("host.web: service_demand",
+     {"host": {"web": {"service_demand": 0.01}}}),
     # Slice counts that overflow a float.  The ids quote the message, which
     # keeps them apart from the other probes of the same fields.
     ("harness.duration: not a finite number of slices",
@@ -521,8 +607,8 @@ NON_FINITE = [
         max_weight=x, behavior=Behavior.STRATEGIC_NO_MARKET)),
     ("mean_task_size", lambda x: MarketConfig(mean_task_size=x)),
     ("weights", lambda x: HostSimConfig(weights=(1.0, x, 3.0))),
-    ("initial_funding_intervals",
-     lambda x: HostSimConfig(initial_funding_intervals=x)),
+    ("initial_funding_intervals", lambda x: HostSimConfig(
+        scheduler=SchedulerKind.AUCTION_SHARE, initial_funding_intervals=x)),
     ("migration_overhead", lambda x: ScenarioConfig(migration_overhead=x)),
     ("host_speeds[0]", lambda x: ScenarioConfig(host_speeds=(x,))),
     ("kill_hosts[0][0]", lambda x: ScenarioConfig(kill_hosts=((x, 0),))),
@@ -791,7 +877,7 @@ FIGURE1_PIN_DOC = {
     "sweep": {"interarrivals": [100, 50, 20, 50]},
 }
 FIGURE1_PIN_SHA256 = \
-    "fdadc9b1d6248ff4d697587ff733db4d293b74253e5da58bcd14ed0a3a0531d2"
+    "0c6edb5c460a9228940a450637935a6a76eb21278353c5ad2f1cf908de3349aa"
 
 
 def test_figure1_table_matches_pinned_digest(tmp_path):
@@ -807,7 +893,7 @@ def test_figure1_table_matches_pinned_digest(tmp_path):
 # config-hash line included.  It pins the latency and error columns the
 # one-host simulator reports.
 TABLE1_PIN_SHA256 = \
-    "dbc40e385a463317b59f0f00315399f68f46b07a8a456a698b83f81719b0ce28"
+    "62e2b79b54663af5f63384456631fdc00649da2773a94817587b51377af99633"
 
 
 def test_table1_table_matches_pinned_digest(tmp_path):

@@ -110,12 +110,15 @@ def test_config_validate_rejects_bad_values():
         dict(weights=(1.0,)),
         dict(weights=(1.0, -2.0)),
         dict(web=WorkloadSpec(request_probability=1.5)),
-        dict(web=WorkloadSpec(service_demand=0.0)),
-        dict(web=WorkloadSpec(service_demand=0.011)),
-        # A served request takes the whole slice, whatever the demand.
-        dict(web=WorkloadSpec(service_demand=0.005)),
-        dict(timeslice_length=1e-300),
         dict(web_intended_share=0.0),
+    ]
+    for overrides in bad:
+        with pytest.raises(ConfigError):
+            HostSimConfig(**overrides).validate()
+    HostSimConfig().validate()
+    # Only an auction run reads the funding fields: each of these fails
+    # its bounds under the auction, and its stride twin is valid.
+    funding = [
         dict(funding_mean_interval=0.0),
         # Weight 4 would be topped up every 7.5 ms, inside one 10 ms slice.
         dict(funding_mean_interval=0.03),
@@ -123,17 +126,18 @@ def test_config_validate_rejects_bad_values():
         dict(funding_mean_interval=0.005, funding_mode=FundingMode.POISSON),
         dict(initial_funding_intervals=-1.0),
     ]
-    for overrides in bad:
+    for overrides in funding:
         with pytest.raises(ConfigError):
-            HostSimConfig(**overrides).validate()
-    HostSimConfig().validate()
-    # A request that takes exactly one slice still fits in it.
-    HostSimConfig(timeslice_length=0.02,
-                  web=WorkloadSpec(service_demand=0.02)).validate()
+            HostSimConfig(scheduler=SchedulerKind.AUCTION_SHARE,
+                          **overrides).validate()
+        HostSimConfig(scheduler=SchedulerKind.PROPORTIONAL_SHARE,
+                      **overrides).validate()
     # One deposit a slice for the richest agent is still allowed, and
     # Poisson gaps need only a mean of a slice, whatever the weights.
-    HostSimConfig(funding_mean_interval=0.04).validate()
-    HostSimConfig(funding_mean_interval=0.03,
+    HostSimConfig(scheduler=SchedulerKind.AUCTION_SHARE,
+                  funding_mean_interval=0.04).validate()
+    HostSimConfig(scheduler=SchedulerKind.AUCTION_SHARE,
+                  funding_mean_interval=0.03,
                   funding_mode=FundingMode.POISSON).validate()
 
 
@@ -179,8 +183,7 @@ def test_web_demand_filling_the_window_drops_batch_targets():
     # server's target is the whole CPU, so no batch process has a target.
     cfg = HostSimConfig(
         num_timeslices=580, warmup_slices=579, weights=(1.0, 1.0),
-        web=WorkloadSpec(request_probability=0.75, service_demand=0.01,
-                         yields_cpu=True),
+        web=WorkloadSpec(request_probability=0.75, yields_cpu=True),
         timeslice_length=0.01, rng_seed=3)
     metrics = run_host_sim(cfg)
     assert metrics.per_process_shares == {0: 0.0, 1: 1.0}
@@ -547,7 +550,6 @@ def time_scaled(config, factor):
     dt = config.timeslice_length * factor
     return dataclasses.replace(
         config, timeslice_length=dt,
-        web=dataclasses.replace(config.web, service_demand=dt),
         funding_mean_interval=config.funding_mean_interval * factor)
 
 

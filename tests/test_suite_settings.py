@@ -7,7 +7,8 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 PROBE = '''
 from hypothesis import given, strategies as st
@@ -36,6 +37,20 @@ def test_a_failing_property_does_not_end_the_run(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
+
+
+def test_a_deselected_criterion_prints_no_acceptance_line():
+    # The criteria were once recorded before -k deselected any, and each
+    # deselected one printed "FAIL (not evaluated ...)".
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-q",
+         "-k", "test_criterion_1", "tests/test_acceptance.py"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    lines = [line for line in run.stdout.splitlines()
+             if line.startswith("ACCEPTANCE")]
+    assert len(lines) == 1, run.stdout
+    assert lines[0].startswith("ACCEPTANCE 1: PASS")
+    assert "1 passed, 7 deselected" in run.stdout
 
 
 def test_tier1_searches_draw_the_same_examples(request):

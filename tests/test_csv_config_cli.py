@@ -405,9 +405,10 @@ def test_stride_block_runs_with_weights_the_auction_would_reject(
     block = {"scheduler": "proportional_share", "weights": [1000, 1]}
     conf = write_json(tmp_path, {"host": block})
     assert cli.main(["validate", "--config", conf]) == 0
+    out = str(tmp_path / "stride")
     for experiment in ("host", "table1"):
         assert cli.main(["run", "--experiment", experiment, "--config", conf,
-                         "--seed", "1", "--out", str(tmp_path / "stride")]) == 0
+                         "--seed", "1", "--out", out]) == 0
     capsys.readouterr()
     assert_exit_2_naming(
         tmp_path, capsys, "host.funding_mean_interval",
@@ -420,7 +421,8 @@ def test_table1_auction_rows_hold_a_stride_block_to_the_funding_bounds(
     # The block is a valid stride run, but table1 builds auction rows
     # from it: weight 4 would be topped up every 1.25 ms.
     block = {"funding_mean_interval": 0.005}
-    assert build_host_config(block).scheduler is SchedulerKind.PROPORTIONAL_SHARE
+    stride = SchedulerKind.PROPORTIONAL_SHARE
+    assert build_host_config(block).scheduler is stride
     assert_exit_2_naming(tmp_path, capsys, "host.funding_mean_interval",
                          {"host": block}, [],
                          says="(table1 row as-1/10-yield)")

@@ -21,7 +21,8 @@ from pathlib import Path
 from . import config as cfg
 from .csvio import emit_csv
 from .errors import ConfigError, LedgerAuditError, TycoonError
-from .harness.scenario import run_harness_scenario
+from .harness.scenario import (HostRow, ParentRow, Replacement,
+                               run_harness_scenario)
 from .hostsim import comparison_rows, run_host_sim
 from .market import run_market_sim
 
@@ -32,11 +33,9 @@ MARKET_HEADER = ["interarrival", "behavior", "utility_mean",
 TABLE1_HEADER = ["row", "scheduler", "web_share", "yields",
                  "error_mean", "error_stddev",
                  "latency_ms_mean", "latency_ms_stddev", "seeds"]
-USERS_HEADER = ["seed", "parent", "funded_credits", "reclaimed_credits",
-                "work_done", "starvation_events", "bank_balance"]
-HOSTS_HEADER = ["seed", "host", "alive", "revenue_credits",
-                "utilization", "slices_run"]
-EVENTS_HEADER = ["seed", "time", "parent", "old_host", "new_host", "reason"]
+USERS_HEADER = ["seed", *ParentRow._fields]
+HOSTS_HEADER = ["seed", *HostRow._fields]
+EVENTS_HEADER = ["seed", *Replacement._fields]
 
 
 def _parse_seed_range(text: str) -> list[int]:
@@ -142,16 +141,10 @@ def _run_harness(doc, seeds):
     for seed in seeds:
         report = run_harness_scenario(
             cfg.build_harness_config(doc.get("harness", {}), seed))
-        for parent, stats in sorted(report.per_parent.items()):
-            users.append([seed, parent, stats["funded_credits"],
-                          stats["reclaimed_credits"], stats["work_done"],
-                          stats["starvation_events"], stats["bank_balance"]])
-        for host, stats in sorted(report.per_host.items()):
-            hosts.append([seed, host, stats["alive"],
-                          stats["revenue_credits"], stats["utilization"],
-                          stats["slices_run"]])
-        for when, parent, old, new, reason in report.replacements:
-            events.append([seed, when, parent, old, new, reason])
+        # A row leads with its unique name: parent:10 sorts before parent:2.
+        users += ([seed, *row] for row in sorted(report.parents))
+        hosts += ([seed, *row] for row in sorted(report.hosts))
+        events += ([seed, *row] for row in report.replacements)
         audits.append(
             f"ledger-audit seed={seed}: conserved={str(report.ledger_ok).lower()}"
             f" issued={report.total_issued} final={report.final_total}"

@@ -54,4 +54,4 @@ class ConfigError(TycoonError):
 
 
 class LedgerAuditError(TycoonError):
-    """A finished cluster run failed its ledger audit."""
+    """A cluster run failed its ledger audit, per slice or at its end."""

@@ -22,10 +22,11 @@ deterministic per seed.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import ConfigError, InsufficientBalanceError
+from ..errors import ConfigError, InsufficientBalanceError, LedgerAuditError
 from ..sched.auction import AuctionShareScheduler
 from ..sched.types import AgentAccount, PriceMode, SchedulerConfig
 from ..slices import _first_slice_at
@@ -144,12 +145,40 @@ class ScenarioConfig:
                     f"kill_hosts index {host} outside 0..{self.num_hosts - 1}")
 
 
+class ParentRow(NamedTuple):
+    """One parent's books at the end of a run: a harness_users.csv row."""
+    parent: str
+    funded_credits: float
+    reclaimed_credits: float
+    work_done: float
+    starvation_events: int
+    bank_balance: float
+
+
+class HostRow(NamedTuple):
+    """One host's outcome at the end of a run: a harness_hosts.csv row."""
+    host: str
+    alive: bool
+    revenue_credits: float
+    utilization: float
+    slices_run: int
+
+
+class Replacement(NamedTuple):
+    """One child moved off old_host: a harness_events.csv row."""
+    time: float
+    parent: str
+    old_host: str
+    new_host: str
+    reason: str
+
+
 @dataclass
 class ScenarioReport:
-    per_parent: dict
-    per_host: dict
-    replacements: list
-    starvation_events: int
+    # In index order: parent:0, parent:1, ...; host:0, host:1, ...
+    parents: list[ParentRow]
+    hosts: list[HostRow]
+    replacements: list[Replacement]
     ledger_ok: bool
     no_negative_balances: bool
     total_issued: int
@@ -442,8 +471,8 @@ class _ParentNode:
             self.sim.network.send(self.sim.now, self.parent_id, "bank",
                                   MessageKind.TRANSFER,
                                   Settle({}, [child_key]))
-        self.sim.replacements.append(
-            (self.sim.now, self.parent_id, old_host, new_host, reason))
+        self.sim.replacements.append(Replacement(
+            self.sim.now, self.parent_id, old_host, new_host, reason))
         self._spawn_child(new_host,
                           activate_at=self.sim.now
                           + self.sim.config.migration_overhead)
@@ -647,7 +676,7 @@ class HarnessSim:
             if cfg.audit_every_slice:
                 balances = self.ledger.total_balance()
                 if balances != self.ledger.total_issued:
-                    raise RuntimeError(
+                    raise LedgerAuditError(
                         f"ledger out of balance at t={self.now}: balances "
                         f"sum to {balances}, issued {self.ledger.total_issued}")
             k = following
@@ -687,36 +716,25 @@ class HarnessSim:
         return following
 
     def _report(self, drained: dict) -> ScenarioReport:
-        per_parent = {}
-        for parent in self.parents:
-            per_parent[parent.parent_id] = {
-                "funded_credits": micro_to_credits(parent.funded_micro),
-                "reclaimed_credits": micro_to_credits(parent.reclaimed_micro),
-                "work_done": parent.work_done(),
-                "starvation_events": parent.starvation_events,
-                "bank_balance": micro_to_credits(
-                    self.ledger.balance(parent.parent_id)),
-            }
-        per_host = {}
         unsettled = 0
         for host in self.hosts:
             for key, total in host.metered().items():
                 books = self.bank.escrows.get(key)
                 unsettled += total - (books.moved if books else 0)
-            per_host[host.host_id] = {
-                "alive": host.alive,
-                "revenue_credits": micro_to_credits(
-                    self.ledger.balance(host.host_id) + drained[host.host_id]),
-                "utilization": (host.sched.slice_index / host.slices_alive
-                                if host.slices_alive else 0.0),
-                "slices_run": host.sched.slice_index,
-            }
         return ScenarioReport(
-            per_parent=per_parent,
-            per_host=per_host,
+            parents=[ParentRow(
+                parent.parent_id, micro_to_credits(parent.funded_micro),
+                micro_to_credits(parent.reclaimed_micro), parent.work_done(),
+                parent.starvation_events,
+                micro_to_credits(self.ledger.balance(parent.parent_id)))
+                for parent in self.parents],
+            hosts=[HostRow(
+                host.host_id, host.alive, micro_to_credits(
+                    self.ledger.balance(host.host_id) + drained[host.host_id]),
+                (host.sched.slice_index / host.slices_alive
+                 if host.slices_alive else 0.0), host.sched.slice_index)
+                for host in self.hosts],
             replacements=list(self.replacements),
-            starvation_events=sum(p.starvation_events
-                                  for p in self.parents),
             ledger_ok=(self.ledger.total_balance()
                        == self.ledger.total_issued),
             no_negative_balances=all(v >= 0

@@ -14,6 +14,7 @@ otherwise; the headline metric is mean accrued utility per host per time
 unit.
 """
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from sys import float_info
@@ -162,60 +163,44 @@ def allocate_host_step(weights, remaining, capacity: float = 1.0):
     return grant
 
 
-def _draw_tasks(config: MarketConfig, rng: np.random.Generator) -> tuple:
-    """All task arrivals for a run as (arrival, owner, size, deadline, value)
-    arrays, sorted by arrival time.
+@functools.lru_cache(maxsize=1)
+def _draw_tasks(rng_seed, num_users, duration, mean_task_interarrival,
+                mean_task_size, mean_task_deadline) -> tuple:
+    """All task arrivals for a run as read-only (arrival, owner, size,
+    deadline, value) arrays, sorted by arrival time.
 
     The users' independent Poisson processes pool into one process with
-    num_users times the rate; each arrival's owner is uniform.
+    num_users times the rate; each arrival's owner is uniform.  The
+    latest table is kept, so the behaviours at one (seed, interarrival)
+    point, run back to back, draw it once between them.
     """
-    pooled_gap = config.mean_task_interarrival / config.num_users
+    rng = np.random.default_rng(rng_seed)
+    pooled_gap = mean_task_interarrival / num_users
     arrival, owner = [], []
     t = rng.exponential(pooled_gap)
-    while t < config.duration:
+    while t < duration:
         arrival.append(t)
-        owner.append(int(rng.integers(config.num_users)))
+        owner.append(int(rng.integers(num_users)))
         t += rng.exponential(pooled_gap)
     size, deadline, value = [], [], []
     for t in arrival:
-        task_size = float(max(1, rng.poisson(config.mean_task_size)))
-        rel_deadline = float(max(rng.poisson(config.mean_task_deadline),
-                                 task_size))
+        task_size = float(max(1, rng.poisson(mean_task_size)))
+        rel_deadline = float(max(rng.poisson(mean_task_deadline), task_size))
         size.append(task_size)
         deadline.append(t + rel_deadline)
         value.append(1.0 - rng.random())  # uniform on (0, 1]
-    return (np.array(arrival, dtype=float), np.array(owner, dtype=np.intp),
-            np.array(size), np.array(deadline), np.array(value))
-
-
-#: The MarketConfig fields _draw_tasks reads.  Runs that agree on them
-#: draw the same task table, whatever their behaviour or budget.
-_DRAW_KEYS = ("rng_seed", "num_users", "duration", "mean_task_interarrival",
-              "mean_task_size", "mean_task_deadline")
-_last_draw: tuple = ((), ())  # (key, table) of the latest draw
-
-
-def _task_table(config: MarketConfig) -> tuple:
-    """The read-only task table of ``config``'s draw.
-
-    The latest table is kept, so the behaviours at one (seed,
-    interarrival) point, run back to back, draw it once between them.
-    """
-    global _last_draw
-    key = tuple(getattr(config, name) for name in _DRAW_KEYS)
-    if _last_draw[0] != key:
-        table = _draw_tasks(config, np.random.default_rng(config.rng_seed))
-        for column in table:
-            column.flags.writeable = False
-        _last_draw = (key, table)
-    return _last_draw[1]
+    table = (np.array(arrival, dtype=float), np.array(owner, dtype=np.intp),
+             np.array(size), np.array(deadline), np.array(value))
+    for column in table:
+        column.flags.writeable = False
+    return table
 
 
 class MarketSim:
     """One seeded run: arrival schedule, user purses, per-step allocation.
 
     Tasks live in a read-only struct of arrays indexed by arrival order,
-    shared by the runs of one draw (see _task_table).  A step works on
+    shared by the runs of one draw (see _draw_tasks).  A step works on
     ``live``, the indices of the submitted, unfinished, not withdrawn
     tasks in arrival order, so every per-task float operation and every
     utility sum runs in the same order as a loop over task objects would.
@@ -225,8 +210,10 @@ class MarketSim:
         config.validate()
         self.config = config
         self.balance = np.full(config.num_users, float(config.initial_balance))
-        (self.arrival, self.owner, self.size, self.deadline,
-         self.value) = _task_table(config)
+        table = _draw_tasks(config.rng_seed, config.num_users, config.duration,
+                            config.mean_task_interarrival,
+                            config.mean_task_size, config.mean_task_deadline)
+        self.arrival, self.owner, self.size, self.deadline, self.value = table
         # Step t admits the tasks with arrival <= t: indices below cuts[t].
         self._cuts = np.searchsorted(
             self.arrival, np.arange(config.duration, dtype=float),

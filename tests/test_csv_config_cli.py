@@ -840,6 +840,29 @@ def test_failed_ledger_audit_writes_the_tables_and_exits_3(
     assert capsys.readouterr().err == ""
 
 
+def test_tripped_per_slice_audit_exits_3_in_one_line(tmp_path, capsys,
+                                                     monkeypatch):
+    # The per-slice audit stops the run on the first slice that leaves
+    # the ledger out of balance, before any table is written.
+    real_transfer = scenario.bank_transfer
+
+    def leaky_transfer(ledger, from_id, to_id, amount):
+        real_transfer(ledger, from_id, to_id, amount)
+        mint(ledger, to_id)
+
+    monkeypatch.setattr(scenario, "bank_transfer", leaky_transfer)
+    conf = write_json(tmp_path, {})
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--experiment", "harness", "--config", conf,
+                   "--out", str(out),
+                   "--set", "harness.audit_every_slice=true"])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "tycoon-sim: ledger out of balance at t=0.0: balances sum to "
+        "8000004, issued 8000000\n")
+    assert not list(out.iterdir())
+
+
 def test_dry_open_loop_admin_pool_starves_instead_of_failing(tmp_path,
                                                              capsys):
     conf = write_json(tmp_path, {})

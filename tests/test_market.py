@@ -1,6 +1,7 @@
 """Market simulation: budgets, water-filling, utility accounting."""
 
 import dataclasses
+import inspect
 import sys
 
 import numpy as np
@@ -30,9 +31,9 @@ def run_on_tasks(monkeypatch, tasks, **overrides):
     """
     columns = [np.array(c, dtype=float) for c in zip(*tasks)]
     columns[1] = columns[1].astype(np.intp)
-    # Patched above the draw memo, so no table drawn or patched earlier
-    # under the same config is served in place of this one.
-    monkeypatch.setattr(market, "_task_table", lambda cfg: tuple(columns))
+    # The patch replaces the draw's cache too, so no table drawn or
+    # patched earlier under the same config is served in place of this one.
+    monkeypatch.setattr(market, "_draw_tasks", lambda *args: tuple(columns))
     weights_seen = []
     fill = market.allocate_host_step
 
@@ -418,57 +419,78 @@ def test_run_matches_the_full_size_reference_bit_for_bit(
     assert sim.total_utility.hex() == reference_total_utility(cfg).hex()
 
 
+@settings(max_examples=30, deadline=None)
+@given(num_users=st.integers(2, 30), num_hosts=st.integers(1, 3),
+       duration=st.integers(50, 200), interarrival=st.floats(5.0, 200.0),
+       behavior=st.sampled_from(Behavior),
+       income=st.sampled_from([0.25, 1.0, 3.0]),
+       initial=st.sampled_from([0.0, 5.0, 100.0]),
+       max_weight=st.sampled_from([1.0, 3.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_scaling_every_credit_by_4_leaves_utility_unchanged(
+        num_users, num_hosts, duration, interarrival, behavior, income,
+        initial, max_weight, seed):
+    # Credits have no unit: 4 times every balance, income and weight
+    # scales each payment exactly, and a share is a ratio of weights.
+    cfg = MarketConfig(num_users=num_users, num_hosts=num_hosts,
+                       duration=duration, mean_task_interarrival=interarrival,
+                       behavior=behavior, income_rate=income,
+                       initial_balance=initial, max_weight=max_weight,
+                       rng_seed=seed)
+    twin = dataclasses.replace(cfg, income_rate=4 * income,
+                               initial_balance=4 * initial,
+                               max_weight=4 * max_weight)
+    assert MarketSim(twin).run() == MarketSim(cfg).run()
+
+
 # -- one draw per (seed, load) -------------------------------------------------
 
 
-def count_draws(monkeypatch):
-    draws = []
-    draw = market._draw_tasks
-
-    def spy(cfg, rng):
-        draws.append(cfg)
-        return draw(cfg, rng)
-
-    monkeypatch.setattr(market, "_draw_tasks", spy)
-    return draws
+def count_draws():
+    """Empty the draw's cache; return a function that counts the draws
+    made since."""
+    market._draw_tasks.cache_clear()
+    return lambda: market._draw_tasks.cache_info().misses
 
 
-def test_behaviours_at_one_point_share_one_read_only_table(monkeypatch):
-    draws = count_draws(monkeypatch)
+def test_behaviours_at_one_point_share_one_read_only_table():
+    draws = count_draws()
     cfg = small_config(rng_seed=401)
     sims = [MarketSim(dataclasses.replace(cfg, behavior=behavior))
             for behavior in Behavior]
-    assert len(draws) == 1
+    assert draws() == 1
     for name in ("arrival", "owner", "size", "deadline", "value"):
         columns = [getattr(sim, name) for sim in sims]
         assert all(column is columns[0] for column in columns)
         assert not columns[0].flags.writeable
 
 
-def test_each_draw_key_draws_anew(monkeypatch):
-    draw = market._draw_tasks
-    draws = count_draws(monkeypatch)
+def test_each_draw_key_draws_anew():
+    changed = {"rng_seed": 403, "num_users": 21, "duration": 151,
+               "mean_task_interarrival": 81.0, "mean_task_size": 11.0,
+               "mean_task_deadline": 31.0}
+    # The draw's cache is keyed on its arguments: exactly these fields.
+    assert list(inspect.signature(market._draw_tasks).parameters) \
+        == list(changed)
+    draws = count_draws()
     cfg = small_config(rng_seed=402)
     MarketSim(cfg)
     # Fields the draw does not read share the table.
     MarketSim(dataclasses.replace(
         cfg, num_hosts=2, max_weight=3.0, behavior=Behavior.STRATEGIC_MARKET,
         income_rate=2.0, initial_balance=7.0))
-    assert len(draws) == 1
-    changed = {"rng_seed": 403, "num_users": 21, "duration": 151,
-               "mean_task_interarrival": 81.0, "mean_task_size": 11.0,
-               "mean_task_deadline": 31.0}
-    assert set(changed) == set(market._DRAW_KEYS)
-    for name, other in changed.items():
+    assert draws() == 1
+    for i, (name, other) in enumerate(changed.items()):
         fresh = dataclasses.replace(cfg, **{name: other})
         sim = MarketSim(fresh)
-        assert draws[-1] is fresh, name
-        expected = draw(fresh, np.random.default_rng(fresh.rng_seed))
+        assert draws() == 2 + 2 * i, name
+        expected = market._draw_tasks.__wrapped__(
+            *(getattr(fresh, field) for field in changed))
         assert [c.tolist() for c in expected] == [
             getattr(sim, c).tolist()
             for c in ("arrival", "owner", "size", "deadline", "value")], name
         MarketSim(cfg)  # back to the first table, drawn again
-    assert len(draws) == 1 + 2 * len(changed)
+    assert draws() == 1 + 2 * len(changed)
 
 
 def test_writing_to_the_table_raises():

@@ -20,13 +20,14 @@ arrival processes; see ``FundingMode``.
 The run advances from event to event.  A deposit lands on the first
 slice ``j`` with ``j * dt >= t``; a yielding web server leaves the ready
 set when it is served and rejoins on the slice after its next request
-coin.  Between two events both schedulers hold their rounds in one
-``run_rounds`` call, and the web queue books the window from its
-winners.  A queued yielding server may win and go idle on any slice.
-The stride scheduler ends such a window on the round the server wins,
-so a pending request is one window; under the auction its windows are
-one slice long, and the scheduler picks its own path for those.  Every
-window is bit for bit its slices run singly.
+coin.  Both schedulers hold their rounds in ``run_rounds`` calls, and
+the web queue books each window from its winners.  A window ends on
+the round a yielding server wins, since it then goes idle.  Under the
+stride scheduler the idle stretch before a request is a window of its
+own, and the pending request is one more.  Under the auction the server
+joins inside the window, so a request is one window; deposits end
+auction windows too.  Every window is bit for bit its slices run
+singly.
 """
 
 from __future__ import annotations
@@ -442,16 +443,24 @@ def _run_auction(config, funding_seed, queue):
     deposits.sort(key=lambda deposit: deposit[0])
     deposits.append((n, None, 0.0))
 
+    # A yielding server sleeps through the idle rounds of a window and
+    # bids from the slice after its request's coin, or at once while a
+    # request is pending; the window ends on the round that serves it.
+    web = 0 if yields else None
+    join = None
     k = i = 0
     while k < n:
         while deposits[i][0] == k:
             _, pid, amount = deposits[i]
             sched.fund(pid, amount)
             i += 1
+        # Deposits still end windows.  Folded into run_rounds, they would
+        # leave run_slice unreached on host-table1, which
+        # perfbench/selftest.py's USES requires until perfbench counts
+        # rounds at the scheduler (ROADMAP item 1).
         end = deposits[i][0]
         if yields:
-            pending = queue.pending is not None
-            sched.set_runnable(0, pending)
-            end = k + 1 if pending else min(end, queue.next_coin(k) + 1)
-        queue.book(sched.run_rounds(end - k)[0])
-        k = end
+            join = 0 if queue.pending else queue.next_coin(k) + 1 - k
+        winners = sched.run_rounds(end - k, web, join)[0]
+        queue.book(winners)
+        k += len(winners)

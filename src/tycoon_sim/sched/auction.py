@@ -223,81 +223,128 @@ class AuctionShareScheduler:
         self.slice_index += 1
         return result
 
-    def run_rounds(self, n: int) -> tuple[list, list[float]]:
-        """Hold ``n`` full-length rounds; return the winners and their
-        payments, in round order.
+    def run_rounds(self, n: int, until=None, join: int | None = None
+                   ) -> tuple[list, list[float]]:
+        """Hold up to ``n`` full-length rounds; return the winners and
+        their payments, in round order.
 
-        Each round is bit for bit what ``run_slice()`` would do.  Between
-        rounds only the winner's balance and bid move, so the rounds run
-        on local copies of the bidders, and the heap is re-keyed and the
-        clearing prices observed once, after the last round; ``n == 1``
-        goes through ``run_slice``.  Needs a queued bidder, no reservation.
+        Each round is bit for bit what ``run_slice()`` would do.  With
+        ``until``, an agent not queued starts bidding at round ``join``
+        (never if it is None), as ``set_runnable(until, True)`` before
+        that round would; the window ends after the first round it wins,
+        and it then leaves the queue.  Between rounds only the winner's
+        balance and bid move, so the rounds run on local copies of the
+        bidders, and the heap is re-keyed and the clearing prices
+        observed once, after the last round.  ``n == 1``, and a window
+        that starts with ``until`` queued on top, go through
+        ``run_slice``.  Needs a queued bidder and no reservation.
         """
         heap = self.heap
-        if n < 1 or not heap or self.reservations:
-            raise ValueError("run_rounds needs n >= 1, a queued bidder and "
-                             "no reservations")
-        if n == 1:
+        if (n < 1 or not heap or self.reservations
+                or join is not None and join < 0):
+            raise ValueError("run_rounds needs n >= 1, a queued bidder, "
+                             "no reservations and no negative join")
+        queued = until in heap
+        if n == 1 or queued and heap.peek()[0] == until:
             # perfbench counts rounds at run_slice and select_winner (ROADMAP
             # item 1); once it counts them here, both n == 1 branches can go.
+            if until is not None and join == 0:
+                self.set_runnable(until, True)
             result = self.run_slice()
+            if result.winner == until:
+                heap.remove(until)
             return [result.winner], [result.payment]
         ids, bids = heap.entries()
         accounts = [self.accounts[agent_id] for agent_id in ids]
+        # ``until`` bids from round ``first`` on.  The rounds before run
+        # without testing for it: a test on every streak slows the runs
+        # that have no ``until``.
+        if queued:
+            first = 0
+        elif until is None or join is None:
+            first = n
+        else:
+            first = min(join, n)
+        joins = not queued and first < n
+        if joins:
+            accounts.append(self.accounts[until])
         for account in accounts:
             if account.requested_cpu_seconds <= 0:
                 compute_bid(account)  # raises, before any charge
         balances = [account.balance for account in accounts]
         requests = [account.requested_cpu_seconds for account in accounts]
-        queued = bids[:]
+        queued_bids = bids[:]
         second_price = self.config.price_mode is PriceMode.SECOND_PRICE
-        others = range(1, len(ids))
         winners, payments = [], []
         win, pay = winners.append, payments.append
-        left = n
-        while left:
-            # The highest (bid, lowest id) wins, as at the top of the heap;
-            # the runner-up is the best of the rest.
-            top, top_bid, top_id = 0, bids[0], ids[0]
-            up_bid = up_id = None
-            for j in others:
-                bid, agent_id = bids[j], ids[j]
-                if bid > top_bid if bid != top_bid else agent_id < top_id:
-                    up_bid, up_id = top_bid, top_id
-                    top, top_bid, top_id = j, bid, agent_id
-                elif up_bid is None or (bid > up_bid if bid != up_bid
-                                        else agent_id < up_id):
-                    up_bid, up_id = bid, agent_id
-            balance, requested = balances[top], requests[top]
-            # Only the winner's bid moves, so it keeps winning for as long
-            # as it still outranks the runner-up.
-            while True:
-                if second_price:
-                    rate = up_bid if up_bid is not None else 0.0
-                else:
-                    rate = balance / requested
-                # A full slice: the prorating fraction is 1.0, so the
-                # payment and the clearing price are the rate itself.
-                payment = rate
-                if balance < payment:
-                    payment = balance
-                balance -= payment
-                top_bid = balance / requested
-                win(top_id)
-                pay(payment)
-                left -= 1
-                if not left or up_bid is not None and not (
-                        top_bid > up_bid if top_bid != up_bid
-                        else top_id < up_id):
+        if first:
+            _hold(ids, bids, balances, requests, second_price, first,
+                  win, pay)
+        if first < n:
+            if joins:
+                ids.append(until)
+                bids.append(balances[-1] / requests[-1])
+            for _ in range(n - first):
+                _hold(ids, bids, balances, requests, second_price, 1,
+                      win, pay)
+                if winners[-1] == until:
                     break
-            balances[top] = balance
-            bids[top] = top_bid
 
         for account, balance in zip(accounts, balances):
             account.balance = balance
-        for agent_id, before, bid in zip(ids, queued, bids):
+        # A joined ``until`` is past the end of ``queued_bids``.
+        for agent_id, before, bid in zip(ids, queued_bids, bids):
             if bid != before:
                 heap.update(agent_id, bid)
+        if winners[-1] == until:
+            if queued:
+                heap.remove(until)
+        elif joins:
+            heap.push(until, bids[-1])
         self.price_stats.observe_many(payments)
-        self.slice_index += n
+        self.slice_index += len(winners)
         return winners, payments
+
+
+def _hold(ids, bids, balances, requests, second_price, left, win, pay):
+    """Hold ``left`` full-length rounds among the bidders ``ids``, on the
+    local ``bids`` and ``balances``; ``win`` and ``pay`` take each
+    round's winner and payment."""
+    others = range(1, len(ids))
+    while left:
+        # The highest (bid, lowest id) wins, as at the top of the heap;
+        # the runner-up is the best of the rest.
+        top, top_bid, top_id = 0, bids[0], ids[0]
+        up_bid = up_id = None
+        for j in others:
+            bid, agent_id = bids[j], ids[j]
+            if bid > top_bid if bid != top_bid else agent_id < top_id:
+                up_bid, up_id = top_bid, top_id
+                top, top_bid, top_id = j, bid, agent_id
+            elif up_bid is None or (bid > up_bid if bid != up_bid
+                                    else agent_id < up_id):
+                up_bid, up_id = bid, agent_id
+        balance, requested = balances[top], requests[top]
+        # Only the winner's bid moves, so it keeps winning for as long
+        # as it still outranks the runner-up.
+        while True:
+            if second_price:
+                rate = up_bid if up_bid is not None else 0.0
+            else:
+                rate = balance / requested
+            # A full slice: the prorating fraction is 1.0, so the
+            # payment and the clearing price are the rate itself.
+            payment = rate
+            if balance < payment:
+                payment = balance
+            balance -= payment
+            top_bid = balance / requested
+            win(top_id)
+            pay(payment)
+            left -= 1
+            if not left or up_bid is not None and not (
+                    top_bid > up_bid if top_bid != up_bid
+                    else top_id < up_id):
+                break
+        balances[top] = balance
+        bids[top] = top_bid

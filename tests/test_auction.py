@@ -566,3 +566,148 @@ def test_batched_rounds_need_a_bidder_and_no_reservation():
         with pytest.raises(ValueError):
             sched.run_rounds(n)
     assert (sched.slice_index, sched.accounts[0].balance) == (0, 10.0)
+
+
+# -- windows that end on a sleeper's win -----------------------------------
+
+
+def stepped_window(sched, n, until, join):
+    """What ``run_rounds(n, until, join)`` holds, one ``run_slice`` at a
+    time: ``until`` is made runnable before round ``join`` and leaves the
+    queue after the first round it wins, which ends the window."""
+    winners, payments = [], []
+    for r in range(n):
+        if r == join:
+            sched.set_runnable(until, True)
+        result = sched.run_slice()
+        winners.append(result.winner)
+        payments.append(result.payment)
+        if result.winner == until:
+            sched.set_runnable(until, False)
+            break
+    return winners, payments
+
+
+@st.composite
+def sleeper_windows(draw):
+    """Agents as (id, balance, request, stale balance), the first of them
+    the sleeper ``until``; whether it starts queued, its join round in
+    [0, n] or None, rounds run before, and the window's length n."""
+    balances = st.one_of(st.sampled_from([0.0, 1.0, 2.5, 40.0]),
+                         st.floats(0.0, 1e3))
+    requests = st.one_of(st.sampled_from([0.5, 1.0, 10.0, 1500.0]),
+                         st.floats(0.01, 2e3))
+    m = draw(st.integers(1, 5))
+    ids = draw(st.permutations(range(m + 1)))
+    agents = [(agent_id, draw(balances), draw(requests),
+               draw(st.none() | balances)) for agent_id in ids]
+    n = draw(st.integers(1, 60))
+    return (agents, draw(st.booleans()), draw(st.none() | st.integers(0, n)),
+            draw(st.integers(0, 3)), n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([FIRST, SECOND]), sleeper_windows())
+# Outbid at its join, it wins two rounds later.
+@example(FIRST, ([(0, 30.0, 10.0, None), (1, 40.0, 10.0, None)],
+                 False, 1, 0, 8))
+# Outbid through the whole window, so it stays queued after it.
+@example(SECOND, ([(1, 1.0, 10.0, None), (0, 40.0, 10.0, None)],
+                  False, 2, 0, 5))
+# Its join is the window's length: it never bids.
+@example(FIRST, ([(0, 40.0, 1.0, None), (1, 1.0, 1.0, None)], False, 6, 0, 6))
+# Already queued, below the top, with a stale balance.
+@example(SECOND, ([(2, 5.0, 1.0, 9.0), (0, 8.0, 1.0, None),
+                   (1, 2.0, 1.0, None)], True, None, 0, 4))
+def test_until_window_matches_one_slice_at_a_time(config, case):
+    agents, queued, join, before, n = case
+    until = agents[0][0]
+    twins = []
+    for _ in range(2):
+        sched = AuctionShareScheduler(config)
+        for agent_id, balance, requested, stale in agents:
+            acct = account(agent_id, balance, requested)
+            sched.add_agent(acct, agent_id != until or queued)
+            if stale is not None:
+                acct.balance = stale
+        for _ in range(before):
+            sched.run_slice()
+        twins.append(sched)
+    held, stepped = twins
+    winners, payments = held.run_rounds(n, until, join)
+    expected, expected_payments = stepped_window(stepped, n, until, join)
+    assert winners == expected
+    assert list(map(bits, payments)) == list(map(bits, expected_payments))
+    assert scheduler_state(held) == scheduler_state(stepped)
+    # Every clearing price in the window, in order, bit for bit.
+    assert ([bits(p) for p in held.price_stats._window]
+            == [bits(p) for p in stepped.price_stats._window])
+
+
+def test_until_window_rejects_a_negative_join():
+    sched = AuctionShareScheduler(FIRST)
+    sched.add_agent(account(0, 1.0))
+    sched.add_agent(account(1, 1.0), runnable=False)
+    with pytest.raises(ValueError):
+        sched.run_rounds(3, 1, -1)
+    assert (sched.slice_index, 1 in sched.heap) == (0, False)
+
+
+# -- credits are a unit ----------------------------------------------------
+
+
+@st.composite
+def funded_windows(draw):
+    """Agents as (balance, request, starts queued), with ids 0..m-1, and
+    windows as (deposits, n, until, join).  Only agent 0 sleeps or is an
+    ``until``, and only beside another agent, so every window starts
+    with a queued bidder.  No credit amount is below 1e-3 but 0, and no
+    request lies in (1, 2), where first-price charges shrink a balance
+    by more than half a round; so no scaled amount goes subnormal."""
+    credits = st.sampled_from([0.0, 1.0, 2.5, 40.0]) | st.floats(1e-3, 1e3)
+    requests = st.sampled_from([0.5, 1.0]) | st.floats(2.0, 2e3)
+    m = draw(st.integers(1, 5))
+    agents = [(draw(credits), draw(requests),
+               agent_id > 0 or m == 1 or draw(st.booleans()))
+              for agent_id in range(m)]
+    windows = []
+    for _ in range(draw(st.integers(1, 6))):
+        deposits = draw(st.lists(st.tuples(st.integers(0, m - 1), credits),
+                                 max_size=3))
+        n = draw(st.integers(1, 40))
+        until = draw(st.none() | st.just(0)) if m > 1 else None
+        join = draw(st.none() | st.integers(0, n)) if until == 0 else None
+        windows.append((deposits, n, until, join))
+    return agents, windows
+
+
+def run_funded(config, case, scale):
+    """The scheduler after ``case``'s windows with every credit amount
+    times ``scale``, and each window's winners and payments."""
+    agents, windows = case
+    sched = AuctionShareScheduler(config)
+    for agent_id, (balance, requested, queued) in enumerate(agents):
+        sched.add_agent(account(agent_id, balance * scale, requested), queued)
+    held = []
+    for deposits, n, until, join in windows:
+        for agent_id, amount in deposits:
+            sched.fund(agent_id, amount * scale)
+        held.append(sched.run_rounds(n, until, join))
+    return sched, held
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([FIRST, SECOND]), funded_windows())
+def test_credits_scaled_by_a_power_of_two_scale_every_payment(config, case):
+    # A bid is credits per slice, so scaling every balance and deposit by
+    # 2**-7 ranks the same bids: the same winners, and payments and
+    # balances scaled exactly.
+    scale = 2.0 ** -7
+    sched, held = run_funded(config, case, 1.0)
+    twin, twin_held = run_funded(config, case, scale)
+    assert [winners for winners, _ in twin_held] == [
+        winners for winners, _ in held]
+    assert [list(map(bits, payments)) for _, payments in twin_held] == [
+        [bits(p * scale) for p in payments] for _, payments in held]
+    assert [bits(a.balance) for a in twin.accounts.values()] == [
+        bits(a.balance * scale) for a in sched.accounts.values()]

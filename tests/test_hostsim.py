@@ -487,20 +487,26 @@ def test_each_window_is_one_run_rounds_call(monkeypatch, kind, yields):
     # Windows of any length, one slice included, go through run_rounds;
     # the single-round steps are reached only from inside it.  A window
     # may stop early only on a round its ``until`` process wins, so a
-    # yielding stride server's pending request is one window.
-    windows, singles, inside, requests = [], [], [], []
+    # yielding stride server's pending request is one window, and under
+    # the auction a whole request is, unless a deposit falls inside it.
+    windows, singles, inside, requests, deposit_slices = [], [], [], [], set()
     stride = kind is SchedulerKind.PROPORTIONAL_SHARE
 
     def window(run_rounds):
         def spy(*args):
+            # (runnable, n, dt, until) or (self, n, until, join)
+            until = args[3 if stride else 2] if len(args) > 2 else None
+            # An auction window goes through run_slice if it holds one
+            # round or starts with ``until`` queued on top.
+            on_top = not stride and until is not None and (
+                args[0].heap.peek()[0] == until)
             inside.append(True)
             try:
                 held = run_rounds(*args)
             finally:
                 inside.pop()
-            # (n, until, winners), after the ready set or self
-            windows.append((args[1], args[3] if stride else None,
-                            held if stride else held[0]))
+            windows.append((args[1], until, held if stride else held[0],
+                            args[1] == 1 or on_top))
             return held
         return spy
 
@@ -509,6 +515,12 @@ def test_each_window_is_one_run_rounds_call(monkeypatch, kind, yields):
             assert inside, f"{step.__name__} called outside run_rounds"
             singles.append(step.__name__)
             return step(*args)
+        return spy
+
+    def deposit(fund):
+        def spy(sched, *args):
+            deposit_slices.add(sched.slice_index)
+            return fund(sched, *args)
         return spy
 
     class Request(RequestRecord):
@@ -524,25 +536,34 @@ def test_each_window_is_one_run_rounds_call(monkeypatch, kind, yields):
                         (proportional, "advance"),
                         (auction.AuctionShareScheduler, "run_slice")):
         monkeypatch.setattr(owner, name, single(getattr(owner, name)))
+    monkeypatch.setattr(auction.AuctionShareScheduler, "fund",
+                        deposit(auction.AuctionShareScheduler.fund))
     monkeypatch.setattr(hostsim, "RequestRecord", Request)
     config = HostSimConfig(**SMALL, scheduler=kind,
                            web=WorkloadSpec(yields_cpu=yields))
     run_host_sim(config)
-    assert sum(len(held) for _, _, held in windows) == config.num_timeslices
-    for n, until, held in windows:
+    assert sum(len(held) for _, _, held, _ in windows) == (
+        config.num_timeslices)
+    for n, until, held, _ in windows:
         assert until not in held[:-1]
         assert len(held) == n or 0 < len(held) < n and held[-1] == until
-    held_one = sum(len(held) == 1 for _, _, held in windows)
+    held_one = sum(len(held) == 1 for _, _, held, _ in windows)
     if stride:
         assert singles.count("advance") == held_one
     else:
-        assert singles == ["run_slice"] * held_one
+        assert singles == ["run_slice"] * sum(
+            via_slice for *_, via_slice in windows)
     if yields:
         assert held_one
-    if stride and yields:
-        pending = [held for _, until, held in windows if until is not None]
-        assert len(pending) == len(requests) > 0
+        pending = [held for _, until, held, _ in windows if until is not None]
         assert any(len(held) > 1 for held in pending)
+    if stride and yields:
+        assert len(pending) == len(requests) > 0
+    if not stride and yields:
+        # One window per request, plus one more per slice that takes a
+        # deposit, and the last.
+        assert 0 < len(windows) <= len(requests) + len(deposit_slices) + 1
+        assert all(until == 0 for _, until, _, _ in windows)
 
 
 def time_scaled(config, factor):

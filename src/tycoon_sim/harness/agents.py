@@ -56,14 +56,13 @@ def _ratio(child: ChildAgentState) -> float:
 
 
 def parent_monitor_and_replace(children: list, threshold: float,
-                               candidate_hosts: list, rng) -> list:
+                               free_hosts: list, rng) -> list:
     """Replacement decisions: list of (child, new_host) pairs.
 
     A child is replaced when its progress/cost ratio drops below
-    threshold times the sibling median.  Replacement hosts are drawn
-    uniformly from the candidates not already in use; when the median is
-    not yet finite (nobody has spent anything) there is no baseline to
-    judge against and nothing happens.
+    threshold times the sibling median, onto a host drawn uniformly from
+    the parent's ``free_hosts`` that no earlier move drew.  When the
+    median is not finite (nobody has spent anything) nothing happens.
     """
     if not children:
         return []
@@ -71,8 +70,7 @@ def parent_monitor_and_replace(children: list, threshold: float,
     med = statistics.median(ratios)
     if not math.isfinite(med):
         return []
-    in_use = {c.host for c in children}
-    free = [h for h in candidate_hosts if h not in in_use]
+    free = list(free_hosts)
     actions = []
     for child, ratio in zip(children, ratios):
         if ratio >= threshold * med:

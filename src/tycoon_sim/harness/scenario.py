@@ -351,7 +351,8 @@ class _HostNode:
 
 
 class _ParentNode:
-    """One user: budgets a job, provisions hosts, replaces laggards."""
+    """One user: budgets a job, places each child on a free host of its
+    own (``_free_hosts``), and replaces laggards and silent children."""
 
     def __init__(self, sim, index: int, job: ParentJob):
         self.sim = sim
@@ -391,7 +392,7 @@ class _ParentNode:
 
     def _initial_placement(self) -> None:
         rng = self.sim.rng
-        hosts = list(self.known_hosts)
+        hosts = self._free_hosts()
         picks = []
         for _ in range(min(self.job.num_hosts, len(hosts))):
             picks.append(hosts.pop(int(rng.integers(len(hosts)))))
@@ -427,35 +428,31 @@ class _ParentNode:
                               MessageKind.LOOKUP)
 
     def monitor_decide(self) -> None:
-        now = self.sim.now
-        dead = [key for key, child in self.children.items()
-                if now - child.last_report > self.sim.config.report_timeout]
+        now, rng = self.sim.now, self.sim.rng
+        silent = [key for key, child in self.children.items()
+                  if now - child.last_report > self.sim.config.report_timeout]
         survivors = [child for key, child in self.children.items()
-                     if key not in dead]
-        theta_actions = parent_monitor_and_replace(
-            survivors, self.job.performance_cost_threshold,
-            self._free_hosts(), self.sim.rng)
-        moves = [(key, None, "timeout") for key in dead]
-        moves += [(child.key, host, "slow") for child, host in theta_actions]
-        for key, new_host, reason in moves:
-            self._replace(key, reason, new_host)
+                     if key not in silent]
+        # Laggards move first, to the hosts drawn for them; each silent
+        # child then draws while still seated, so never its own host.
+        for child, host in parent_monitor_and_replace(
+                survivors, self.job.performance_cost_threshold,
+                self._free_hosts(), rng):
+            self._replace(child.key, "slow", host)
+        for key in silent:
+            free = self._free_hosts()
+            if free:
+                self._replace(key, "timeout",
+                              free[int(rng.integers(len(free)))])
 
     def _free_hosts(self) -> list:
+        """The hosts this parent knows that none of its children use."""
         in_use = {child.host for child in self.children.values()}
         return [h for h in self.known_hosts if h not in in_use]
 
-    def _replace(self, child_key: str, reason: str,
-                 new_host: str | None) -> None:
+    def _replace(self, child_key: str, reason: str, new_host: str) -> None:
         child = self.children.pop(child_key)
         old_host = child.host
-        if new_host is None:
-            # Timeout path: pick here, never re-picking the host being
-            # abandoned even though it just became technically free.
-            free = [h for h in self._free_hosts() if h != old_host]
-            if not free:
-                self.children[child_key] = child
-                return
-            new_host = free[int(self.sim.rng.integers(len(free)))]
         self.retired_progress += child.progress
         # The host closes the escrow once it has stopped the child, in
         # the same report as the child's final spend, so the close can

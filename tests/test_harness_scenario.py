@@ -288,7 +288,13 @@ def test_each_kind_carries_one_payload_type_per_recipient(monkeypatch,
 @st.composite
 def small_scenarios(draw):
     num_hosts = draw(st.integers(1, 4))
-    duration = draw(st.floats(0.05, 5.0))
+    # Short intervals, so that monitoring, replacement, settlement and
+    # open-loop payments happen inside a few seconds.  Every run outlasts
+    # a report timeout and a monitor interval, so that a child silent
+    # from the start times out and moves.
+    monitor_interval = draw(st.sampled_from([0.5, 1.0, 5.0]))
+    report_timeout = draw(st.sampled_from([0.7, 2.0, 12.0]))
+    duration = draw(st.floats(0.05, 5.0)) + report_timeout + monitor_interval
     parents = tuple(
         ParentJob(total_credits=draw(st.floats(0.05, 6.0)),
                   deadline_minutes=draw(st.sampled_from([0.25, 1.0, 2.0])),
@@ -304,11 +310,8 @@ def small_scenarios(draw):
         drop_probability=draw(st.floats(0.0, 0.3)),
         message_latency=draw(st.floats(0.0, 0.02)),
         kill_hosts=tuple(kills),
-        # Short intervals, so that monitoring, replacement, settlement and
-        # open-loop payments happen inside a few seconds.
         advertise_interval=draw(st.sampled_from([0.3, 2.0])),
-        monitor_interval=draw(st.sampled_from([0.5, 1.0, 5.0])),
-        report_timeout=draw(st.sampled_from([0.7, 2.0, 12.0])),
+        monitor_interval=monitor_interval, report_timeout=report_timeout,
         migration_overhead=draw(st.sampled_from([0.0, 0.5])),
         funding_interval=draw(st.sampled_from([0.5, 1.0])),
         admin_pool=draw(st.sampled_from([0.5, 100.0])),
@@ -353,6 +356,11 @@ def test_random_small_scenarios_keep_the_books(cfg):
     # A child key names one child on one host, which is what lets the
     # bank name an escrow by the key alone.
     assert all(len(hosts) == 1 for hosts in funded_at.values())
+    # Every host a parent places a child on is one none of its children
+    # uses, so no parent ends with two children on one host.
+    for parent in sim.parents:
+        hosts = [child.host for child in parent.children.values()]
+        assert len(hosts) == len(set(hosts))
     # Once an escrow's final spend reaches the bank, its provider holds
     # exactly the metered spend; every other gap is reported unsettled.
     unsettled = 0

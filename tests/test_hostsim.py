@@ -612,6 +612,32 @@ def test_host_time_scaling_is_exact_under_poisson_funding():
         rng_seed=1), 4.0)
 
 
+def hexed(metrics):
+    """A metrics row with every float as its ``float.hex``."""
+    return (metrics.scheduling_error.hex(),
+            None if metrics.mean_latency is None
+            else metrics.mean_latency.hex(),
+            metrics.utilization.hex(), metrics.requests_served,
+            {pid: share.hex()
+             for pid, share in metrics.per_process_shares.items()})
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.booleans(), st.lists(st.integers(1, 29), min_size=2, max_size=5),
+       st.integers(0, 2**32 - 1))
+def test_stride_weights_scaled_by_8_change_no_metric(yields, weights, seed):
+    # Stride weights carry no unit: every pass step dt / w and the
+    # server's rejoin point scale by exactly 1/8, so no comparison and no
+    # share target moves by a bit.
+    config = HostSimConfig(
+        num_timeslices=300, warmup_slices=30,
+        weights=tuple(map(float, weights)),
+        web=WorkloadSpec(yields_cpu=yields), rng_seed=seed)
+    twin = dataclasses.replace(
+        config, weights=tuple(8.0 * w for w in config.weights))
+    assert hexed(run_host_sim(twin)) == hexed(run_host_sim(config))
+
+
 # -- the low-latency claim --------------------------------------------------
 
 

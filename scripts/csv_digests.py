@@ -59,14 +59,22 @@ SETS = {
 }
 
 
-def run_set(name: str, scratch: Path) -> dict[str, str]:
-    """``{"<set>/<file>": sha256}`` for every CSV one set's run writes."""
-    experiment, config, seeds = SETS[name]
-    out = scratch / name
+def config_file(name: str, scratch: Path) -> Path:
+    """The config file one set runs: its own, or its document written
+    into ``scratch``."""
+    config = SETS[name][1]
     if isinstance(config, dict):
         path = scratch / f"{name}.json"
         path.write_text(json.dumps(config), encoding="utf-8")
-        config = path
+        return path
+    return config
+
+
+def run_set(name: str, scratch: Path) -> dict[str, str]:
+    """``{"<set>/<file>": sha256}`` for every CSV one set's run writes."""
+    experiment, _, seeds = SETS[name]
+    out = scratch / name
+    config = config_file(name, scratch)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

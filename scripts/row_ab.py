@@ -10,7 +10,9 @@ simulation is timed: no interpreter start, no import, no CSV.  Every
 1001..1020, and ``--harness`` adds ``perfbench/configs/cluster-lossy.json``
 for seeds 1001..1010.  The two workers take turns, one run at a time,
 and which of them goes first alternates from pair to pair, so that a
-machine whose speed drifts slows both sides alike.
+machine whose speed drifts slows both sides alike.  The base worker runs
+with ``PYTHONHASHSEED=1`` and the new one with ``2``, so no result may
+follow str hash order: ``row_ab.py src src --harness`` checks just that.
 
 Each run's result is compared in full (``repr`` keeps every float
 exactly); the script prints each row's median new/base time ratio over
@@ -57,8 +59,9 @@ def worker() -> None:
 
 
 class Worker:
-    def __init__(self, src: Path):
-        env = dict(os.environ, PYTHONPATH=str(src))
+    def __init__(self, src: Path, hash_seed: int):
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   PYTHONHASHSEED=str(hash_seed))
         self.proc = subprocess.Popen(
             [sys.executable, __file__, "--worker"], env=env, text=True,
             stdin=subprocess.PIPE, stdout=subprocess.PIPE)
@@ -99,7 +102,7 @@ def main(argv=None) -> int:
              for seed in TABLE1_SEEDS]
     if args.harness:
         pairs += [("cluster-lossy", seed) for seed in HARNESS_SEEDS]
-    base, new = Worker(args.base.resolve()), Worker(args.new.resolve())
+    base, new = Worker(args.base.resolve(), 1), Worker(args.new.resolve(), 2)
     ratios: dict[str, list[float]] = {}
     differ = 0
     try:

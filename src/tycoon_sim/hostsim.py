@@ -26,8 +26,10 @@ the round a yielding server wins, since it then goes idle.  Under the
 stride scheduler the idle stretch before a request is a window of its
 own, and the pending request is one more.  Under the auction the server
 joins inside the window, so a request is one window; deposits end
-auction windows too.  Every window is bit for bit its slices run
-singly.
+auction windows too.  The auction's server is never queued between
+windows: a window it joins and does not win ends at a deposit, and the
+next one rejoins it from its first round at the bid its balance buys.
+Every window is bit for bit its slices run singly.
 """
 
 from __future__ import annotations

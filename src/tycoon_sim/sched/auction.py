@@ -229,43 +229,36 @@ class AuctionShareScheduler:
         their payments, in round order.
 
         Each round is bit for bit what ``run_slice()`` would do.  With
-        ``until``, an agent not queued starts bidding at round ``join``
-        (never if it is None), as ``set_runnable(until, True)`` before
-        that round would; the window ends after the first round it wins,
-        and it then leaves the queue.  Between rounds only the winner's
-        balance and bid move, so the rounds run on local copies of the
-        bidders, and the heap is re-keyed and the clearing prices
-        observed once, after the last round.  ``n == 1``, and a window
-        that starts with ``until`` queued on top, go through
-        ``run_slice``.  Needs a queued bidder and no reservation.
+        ``until``, a sleeper that must not be queued, that agent starts
+        bidding at round ``join`` (never if it is None), as
+        ``set_runnable(until, True)`` before that round would; the window
+        ends after the first round it wins.  Won or not, it leaves the
+        window asleep, out of the queue.  Between rounds only the
+        winner's balance and bid move, so the rounds run on local copies
+        of the bidders, and the heap is re-keyed and the clearing prices
+        observed once, after the last round.  A one-round window that
+        ``until`` does not join goes through ``run_slice``.  Needs a
+        queued bidder and no reservation.
         """
         heap = self.heap
         if (n < 1 or not heap or self.reservations
-                or join is not None and join < 0):
+                or join is not None and join < 0 or until in heap):
             raise ValueError("run_rounds needs n >= 1, a queued bidder, "
-                             "no reservations and no negative join")
-        queued = until in heap
-        if n == 1 or queued and heap.peek()[0] == until:
-            # perfbench counts rounds at run_slice and select_winner (ROADMAP
-            # item 1); once it counts them here, both n == 1 branches can go.
-            if until is not None and join == 0:
-                self.set_runnable(until, True)
-            result = self.run_slice()
-            if result.winner == until:
-                heap.remove(until)
-            return [result.winner], [result.payment]
-        ids, bids = heap.entries()
-        accounts = [self.accounts[agent_id] for agent_id in ids]
+                             "no reservations, no negative join and an "
+                             "until that is not queued")
         # ``until`` bids from round ``first`` on.  The rounds before run
         # without testing for it: a test on every streak slows the runs
         # that have no ``until``.
-        if queued:
-            first = 0
-        elif until is None or join is None:
-            first = n
-        else:
-            first = min(join, n)
-        joins = not queued and first < n
+        first = n if until is None or join is None else min(join, n)
+        joins = first < n
+        if n == 1 and not joins:
+            # perfbench/selftest.py's USES needs run_slice reached on
+            # host-table1 and cluster-lossy until perfbench counts rounds
+            # at the scheduler (ROADMAP item 1); then this branch can go.
+            result = self.run_slice()
+            return [result.winner], [result.payment]
+        ids, bids = heap.entries()
+        accounts = [self.accounts[agent_id] for agent_id in ids]
         if joins:
             accounts.append(self.accounts[until])
         for account in accounts:
@@ -280,10 +273,9 @@ class AuctionShareScheduler:
         if first:
             _hold(ids, bids, balances, requests, second_price, first,
                   win, pay)
-        if first < n:
-            if joins:
-                ids.append(until)
-                bids.append(balances[-1] / requests[-1])
+        if joins:
+            ids.append(until)
+            bids.append(balances[-1] / requests[-1])
             for _ in range(n - first):
                 _hold(ids, bids, balances, requests, second_price, 1,
                       win, pay)
@@ -292,15 +284,11 @@ class AuctionShareScheduler:
 
         for account, balance in zip(accounts, balances):
             account.balance = balance
-        # A joined ``until`` is past the end of ``queued_bids``.
+        # A joined ``until`` is past the end of ``queued_bids``, so it
+        # stays out of the heap.
         for agent_id, before, bid in zip(ids, queued_bids, bids):
             if bid != before:
                 heap.update(agent_id, bid)
-        if winners[-1] == until:
-            if queued:
-                heap.remove(until)
-        elif joins:
-            heap.push(until, bids[-1])
         self.price_stats.observe_many(payments)
         self.slice_index += len(winners)
         return winners, payments

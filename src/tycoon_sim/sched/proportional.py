@@ -40,23 +40,20 @@ def run_rounds(
     """Hold up to ``n`` rounds among a fixed set of runnable processes;
     return the winners' ids in round order.
 
-    Each round is what ``select_winner`` and then ``advance`` would do
-    (``n == 1`` calls them): the smallest (virtual time, id) wins, and its
-    virtual time grows by ``timeslice_length / weight``.  With ``until``,
-    the window ends after the first round that process wins, so it may
-    hold fewer than ``n``; a first round it wins goes through
-    ``select_winner`` and ``advance`` too.  Longer windows run on a local
-    heap of those pairs; the virtual times are written back.  Needs
-    ``n >= 1`` and a runnable process.
+    Each round is what ``select_winner`` and then ``advance`` would do:
+    the smallest (virtual time, id) wins, and its virtual time grows by
+    ``timeslice_length / weight``.  With ``until``, the window ends after
+    the first round that process wins, so it may hold fewer than ``n``; a
+    first round it wins goes through ``select_winner`` and ``advance``.
+    Every other window runs on a local heap of those pairs; the virtual
+    times are written back.  Needs ``n >= 1`` and a runnable process.
     """
     if n < 1 or not runnable:
         raise ValueError("run_rounds needs n >= 1 and a runnable process")
-    if n == 1 or until is not None:
-        # perfbench counts rounds at select_winner and run_slice (ROADMAP
-        # item 1); once it counts them here, both n == 1 branches can go.
+    if until is not None:
         # ``until`` often wins the first round; that round needs no heap.
         winner = select_winner(runnable)
-        if n == 1 or winner.process_id == until:
+        if winner.process_id == until:
             advance(winner, timeslice_length)
             return [winner.process_id]
     # Ids are unique, so entries never compare past (virtual time, id).

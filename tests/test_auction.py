@@ -573,8 +573,9 @@ def test_batched_rounds_need_a_bidder_and_no_reservation():
 
 def stepped_window(sched, n, until, join):
     """What ``run_rounds(n, until, join)`` holds, one ``run_slice`` at a
-    time: ``until`` is made runnable before round ``join`` and leaves the
-    queue after the first round it wins, which ends the window."""
+    time: ``until`` is made runnable before round ``join``, the first
+    round it wins ends the window, and it leaves the queue at the
+    window's end, whether it won or not."""
     winners, payments = [], []
     for r in range(n):
         if r == join:
@@ -583,16 +584,16 @@ def stepped_window(sched, n, until, join):
         winners.append(result.winner)
         payments.append(result.payment)
         if result.winner == until:
-            sched.set_runnable(until, False)
             break
+    sched.set_runnable(until, False)
     return winners, payments
 
 
 @st.composite
 def sleeper_windows(draw):
     """Agents as (id, balance, request, stale balance), the first of them
-    the sleeper ``until``; whether it starts queued, its join round in
-    [0, n] or None, rounds run before, and the window's length n."""
+    the sleeper ``until``; its join round in [0, n] or None, rounds run
+    before, and the window's length n."""
     balances = st.one_of(st.sampled_from([0.0, 1.0, 2.5, 40.0]),
                          st.floats(0.0, 1e3))
     requests = st.one_of(st.sampled_from([0.5, 1.0, 10.0, 1500.0]),
@@ -602,32 +603,27 @@ def sleeper_windows(draw):
     agents = [(agent_id, draw(balances), draw(requests),
                draw(st.none() | balances)) for agent_id in ids]
     n = draw(st.integers(1, 60))
-    return (agents, draw(st.booleans()), draw(st.none() | st.integers(0, n)),
+    return (agents, draw(st.none() | st.integers(0, n)),
             draw(st.integers(0, 3)), n)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([FIRST, SECOND]), sleeper_windows())
 # Outbid at its join, it wins two rounds later.
-@example(FIRST, ([(0, 30.0, 10.0, None), (1, 40.0, 10.0, None)],
-                 False, 1, 0, 8))
-# Outbid through the whole window, so it stays queued after it.
-@example(SECOND, ([(1, 1.0, 10.0, None), (0, 40.0, 10.0, None)],
-                  False, 2, 0, 5))
+@example(FIRST, ([(0, 30.0, 10.0, None), (1, 40.0, 10.0, None)], 1, 0, 8))
+# Outbid through the whole window, so it is asleep again after it.
+@example(SECOND, ([(1, 1.0, 10.0, None), (0, 40.0, 10.0, None)], 2, 0, 5))
 # Its join is the window's length: it never bids.
-@example(FIRST, ([(0, 40.0, 1.0, None), (1, 1.0, 1.0, None)], False, 6, 0, 6))
-# Already queued, below the top, with a stale balance.
-@example(SECOND, ([(2, 5.0, 1.0, 9.0), (0, 8.0, 1.0, None),
-                   (1, 2.0, 1.0, None)], True, None, 0, 4))
+@example(FIRST, ([(0, 40.0, 1.0, None), (1, 1.0, 1.0, None)], 6, 0, 6))
 def test_until_window_matches_one_slice_at_a_time(config, case):
-    agents, queued, join, before, n = case
+    agents, join, before, n = case
     until = agents[0][0]
     twins = []
     for _ in range(2):
         sched = AuctionShareScheduler(config)
         for agent_id, balance, requested, stale in agents:
             acct = account(agent_id, balance, requested)
-            sched.add_agent(acct, agent_id != until or queued)
+            sched.add_agent(acct, agent_id != until)
             if stale is not None:
                 acct.balance = stale
         for _ in range(before):
@@ -653,6 +649,21 @@ def test_until_window_rejects_a_negative_join():
     assert (sched.slice_index, 1 in sched.heap) == (0, False)
 
 
+def test_until_window_refuses_a_queued_until():
+    # ``until`` is a sleeper: a queued one, on top or below it, is refused
+    # before any round, and the scheduler is left as it was.
+    for n in (1, 5):
+        for join in (None, 0):
+            sched = AuctionShareScheduler(SECOND)
+            for acct in (account(0, 4.0), account(1, 9.0), account(2, 2.0)):
+                sched.add_agent(acct)
+            before = scheduler_state(sched)
+            for until in (1, 0):
+                with pytest.raises(ValueError):
+                    sched.run_rounds(n, until, join)
+            assert scheduler_state(sched) == before
+
+
 # -- credits are a unit ----------------------------------------------------
 
 
@@ -661,14 +672,15 @@ def funded_windows(draw):
     """Agents as (balance, request, starts queued), with ids 0..m-1, and
     windows as (deposits, n, until, join).  Only agent 0 sleeps or is an
     ``until``, and only beside another agent, so every window starts
-    with a queued bidder.  No credit amount is below 1e-3 but 0, and no
-    request lies in (1, 2), where first-price charges shrink a balance
-    by more than half a round; so no scaled amount goes subnormal."""
+    with a queued bidder; beside one, it always sleeps, since
+    ``run_rounds`` refuses a queued ``until``.  No credit amount is
+    below 1e-3 but 0, and no request lies in (1, 2), where first-price
+    charges shrink a balance by more than half a round; so no scaled
+    amount goes subnormal."""
     credits = st.sampled_from([0.0, 1.0, 2.5, 40.0]) | st.floats(1e-3, 1e3)
     requests = st.sampled_from([0.5, 1.0]) | st.floats(2.0, 2e3)
     m = draw(st.integers(1, 5))
-    agents = [(draw(credits), draw(requests),
-               agent_id > 0 or m == 1 or draw(st.booleans()))
+    agents = [(draw(credits), draw(requests), agent_id > 0 or m == 1)
               for agent_id in range(m)]
     windows = []
     for _ in range(draw(st.integers(1, 6))):

@@ -1,10 +1,11 @@
 """Host simulation: funding streams, latency accounting, determinism."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tycoon_sim import hostsim
@@ -475,10 +476,35 @@ def host_configs(draw):
     return config
 
 
+#: Auction hosts whose yielding server, on a 1/10 income and a request
+#: coin of 0.5 a slice, joins windows that a deposit ends before it wins.
+OUTBID_SLEEPER = [
+    HostSimConfig(**SMALL, scheduler=SchedulerKind.AUCTION_SHARE,
+                  web=WorkloadSpec(request_probability=0.5),
+                  funding_mode=mode, rng_seed=1)
+    for mode in FundingMode]
+
+
 @settings(max_examples=150, deadline=None)
 @given(host_configs())
+@example(OUTBID_SLEEPER[0])
+@example(OUTBID_SLEEPER[1])
 def test_event_windows_reproduce_the_per_slice_loops(config):
-    assert repr(run_host_sim(config)) == repr(per_slice_host_sim(config))
+    outbid = []
+    run_rounds = auction.AuctionShareScheduler.run_rounds
+
+    def spy(sched, n, until=None, join=None):
+        held = run_rounds(sched, n, until, join)
+        # ``until`` bid from round ``join`` on and won no round.
+        if until is not None and join is not None and join < n and (
+                until not in held[0]):
+            outbid.append(n)
+        return held
+
+    with mock.patch.object(auction.AuctionShareScheduler, "run_rounds", spy):
+        assert repr(run_host_sim(config)) == repr(per_slice_host_sim(config))
+    if config in OUTBID_SLEEPER:
+        assert outbid
 
 
 @pytest.mark.parametrize("kind", SchedulerKind)
@@ -497,16 +523,20 @@ def test_each_window_is_one_run_rounds_call(monkeypatch, kind, yields):
             # (runnable, n, dt, until) or (self, n, until, join)
             until = args[3 if stride else 2] if len(args) > 2 else None
             # An auction window goes through run_slice if it holds one
-            # round or starts with ``until`` queued on top.
-            on_top = not stride and until is not None and (
-                args[0].heap.peek()[0] == until)
+            # round that ``until`` does not join.
+            join = None if stride or len(args) < 4 else args[3]
+            via_slice = not stride and args[1] == 1 and not (
+                until is not None and join == 0)
             inside.append(True)
             try:
                 held = run_rounds(*args)
             finally:
                 inside.pop()
+            if not stride:
+                # Won or not, the auction's sleeper leaves asleep.
+                assert until is None or until not in args[0].heap
             windows.append((args[1], until, held if stride else held[0],
-                            args[1] == 1 or on_top))
+                            via_slice))
             return held
         return spy
 
@@ -549,7 +579,12 @@ def test_each_window_is_one_run_rounds_call(monkeypatch, kind, yields):
         assert len(held) == n or 0 < len(held) < n and held[-1] == until
     held_one = sum(len(held) == 1 for _, _, held, _ in windows)
     if stride:
-        assert singles.count("advance") == held_one
+        # Only a first round that ``until`` wins skips the heap.
+        assert singles.count("select_winner") == sum(
+            until is not None for _, until, _, _ in windows)
+        assert singles.count("advance") == sum(
+            until is not None and held[0] == until
+            for _, until, held, _ in windows)
     else:
         assert singles == ["run_slice"] * sum(
             via_slice for *_, via_slice in windows)

@@ -30,9 +30,9 @@ DIGESTS = Path(__file__).resolve().parent / "csv_digests.sha256"
 CONFIGS = ROOT / "perfbench" / "configs"
 
 
-def _host(scheduler: str, yields: bool) -> dict:
+def _host(scheduler: str, yields: bool, **host) -> dict:
     return {"host": {"scheduler": scheduler,
-                     "web": {"yields_cpu": yields}}}
+                     "web": {"yields_cpu": yields}, **host}}
 
 
 # name -> (experiment, config document or file, seed arguments)
@@ -56,6 +56,9 @@ SETS = {
        for short, scheduler in (("stride", "proportional_share"),
                                 ("auction", "auction_share"))
        for yields in (True, False)},
+    "host-auction-poisson": ("host", _host("auction_share", True,
+                                           funding_mode="poisson"),
+                             ["--seeds", "1..5"]),
 }
 
 

@@ -39,7 +39,6 @@ class ChildAgentState:
     host: str
     progress: float = 0.0     # work units completed so far
     cost: float = 0.0         # credits spent so far
-    key: str = ""             # the parent's name for this child
     last_report: float = 0.0  # time of the last progress report
 
 
@@ -55,9 +54,9 @@ def _ratio(child: ChildAgentState) -> float:
     return child.progress / child.cost if child.cost > 0 else math.inf
 
 
-def parent_monitor_and_replace(children: list, threshold: float,
+def parent_monitor_and_replace(children: dict, threshold: float,
                                free_hosts: list, rng) -> list:
-    """Replacement decisions: list of (child, new_host) pairs.
+    """Replacement decisions: (key, new_host) pairs, in ``children`` order.
 
     A child is replaced when its progress/cost ratio drops below
     threshold times the sibling median, onto a host drawn uniformly from
@@ -66,17 +65,17 @@ def parent_monitor_and_replace(children: list, threshold: float,
     """
     if not children:
         return []
-    ratios = [_ratio(c) for c in children]
+    ratios = [_ratio(c) for c in children.values()]
     med = statistics.median(ratios)
     if not math.isfinite(med):
         return []
     free = list(free_hosts)
     actions = []
-    for child, ratio in zip(children, ratios):
+    for key, ratio in zip(children, ratios):
         if ratio >= threshold * med:
             continue
         if not free:
             break
         pick = free.pop(int(rng.integers(len(free))))
-        actions.append((child, pick))
+        actions.append((key, pick))
     return actions

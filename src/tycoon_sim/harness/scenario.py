@@ -195,10 +195,9 @@ class ScenarioReport:
 
 
 @dataclass(slots=True)
-class _Seat:
-    """One child's place at a host: its bidding account and metered spend."""
+class _Seat(AgentAccount):
+    """One child's place at a host: its auction account plus metered use."""
 
-    agent: AgentAccount
     progress: float = 0.0
     spent: float = 0.0        # metered; the bank holds what it has moved
     activate_at: float = 0.0
@@ -217,33 +216,32 @@ class _HostNode:
             timeslice_length=sim.config.timeslice_length,
             price_mode=sim.config.price_mode))
         self.alive = True
+        # Each seat is also an account of ``sched``, ids 0, 1, 2, ... in
+        # open order; a killed one leaves here and the heap, not sched.
         self.children: dict[str, _Seat] = {}
-        # Every seat opened here, indexed by its agent id: ids go out
-        # 0, 1, 2, ... in open order.  A killed seat stays, out of the heap.
-        self._seats: list[_Seat] = []
         # Seats not yet runnable, in the order they were opened.
         self._pending: list[_Seat] = []
         # Key of every child killed here -> its final metered spend.
         self._killed: dict[str, int] = {}
         self.slices_alive = 0
+        # Revenue the open-loop funding ticks drained to the admin pool.
+        self.drained_micro = 0
 
     @property
     def slices_won(self) -> int:  # the name perfbench/spans.py reads
         return self.sched.slice_index
 
     def _ensure_child(self, child_key: str) -> _Seat:
-        # Funding can arrive ahead of the spawn message; open the seat
-        # with placeholder terms and let SPAWN_CHILD fill them in.
+        # Funding can arrive ahead of the spawn message, so either one
+        # opens the seat, asleep; SPAWN_CHILD sets when it starts bidding.
         seat = self.children.get(child_key)
         if seat is None:
             chunk = self.sim.config.funding_chunk_minutes * 60.0
-            agent = AgentAccount(
-                agent_id=len(self._seats), balance=0.0,
+            seat = _Seat(
+                agent_id=len(self.sched.accounts), balance=0.0,
                 requested_cpu_seconds=chunk / self.sim.config.timeslice_length)
-            self.sched.add_agent(agent, runnable=False)
-            seat = _Seat(agent)
+            self.sched.add_agent(seat, runnable=False)
             self.children[child_key] = seat
-            self._seats.append(seat)
             self._pending.append(seat)
         return seat
 
@@ -257,13 +255,13 @@ class _HostNode:
                 # escrow account, where the close still collects them.
                 return
             seat = self._ensure_child(p.child_key)
-            self.sched.fund(seat.agent.agent_id, micro_to_credits(p.amount))
+            self.sched.fund(seat.agent_id, micro_to_credits(p.amount))
         elif kind is MessageKind.KILL_CHILD:
             self._killed[p] = 0
             seat = self.children.pop(p, None)
             if seat is not None:
                 self._pending = [s for s in self._pending if s is not seat]
-                self.sched.set_runnable(seat.agent.agent_id, False)
+                self.sched.set_runnable(seat.agent_id, False)
                 self._killed[p] = math.floor(seat.spent * MICRO)
             # The close goes out at once.  A dropped KILL_CHILD is not
             # retried: the orphan bids until its lump is gone, and its
@@ -272,7 +270,7 @@ class _HostNode:
         elif kind is MessageKind.QUERY_PROGRESS:
             seat = self.children.get(p)
             report = Progress(p) if seat is None else Progress(
-                p, seat.progress, seat.spent, seat.agent.balance)
+                p, seat.progress, seat.spent, seat.balance)
             self.sim.network.send(self.sim.now, self.host_id, msg.sender,
                                   MessageKind.PROGRESS_REPORT, report)
 
@@ -289,7 +287,7 @@ class _HostNode:
         if not self.alive:
             return
         dt = self.sim.config.timeslice_length
-        sched, seats = self.sched, self._seats
+        sched, seats = self.sched, self.sched.accounts
         work = self._work_per_slice
         while k0 < k1:
             end = k1
@@ -297,7 +295,7 @@ class _HostNode:
                 waiting = []
                 for seat in self._pending:
                     if k0 * dt >= seat.activate_at:
-                        sched.set_runnable(seat.agent.agent_id, True)
+                        sched.set_runnable(seat.agent_id, True)
                     else:
                         waiting.append(seat)
                         end = _first_slice_at(seat.activate_at, dt, end)
@@ -310,8 +308,7 @@ class _HostNode:
             # has a winner.
             if sched.heap:
                 for winner, payment in zip(*sched.run_rounds(rounds)):
-                    # Only seated, activated agents are runnable, so the
-                    # winner has a seat.
+                    # Every account is a seat.
                     seat = seats[winner]
                     seat.progress += work
                     seat.spent += payment
@@ -384,7 +381,7 @@ class _ParentNode:
             child.cost = p.spent
             child.last_report = self.sim.now
             if p.funds * MICRO < self.lump_micro * self.sim.config.refresh_fraction:
-                self._fund(child.key, child.host)
+                self._fund(p.child_key, child.host)
         elif kind is MessageKind.TRANSFER:
             # Receipt for an escrow sweep the bank performed for us.
             self.remaining_micro += p
@@ -402,7 +399,7 @@ class _ParentNode:
     def _spawn_child(self, host: str, activate_at: float) -> None:
         key = f"{self.parent_id}/c{self._child_serial}"
         self._child_serial += 1
-        self.children[key] = ChildAgentState(host=host, key=key,
+        self.children[key] = ChildAgentState(host=host,
                                              last_report=self.sim.now)
         self._fund(key, host)
         self.sim.network.send(self.sim.now, self.parent_id, host,
@@ -431,14 +428,14 @@ class _ParentNode:
         now, rng = self.sim.now, self.sim.rng
         silent = [key for key, child in self.children.items()
                   if now - child.last_report > self.sim.config.report_timeout]
-        survivors = [child for key, child in self.children.items()
-                     if key not in silent]
+        survivors = {key: child for key, child in self.children.items()
+                     if key not in silent}
         # Laggards move first, to the hosts drawn for them; each silent
         # child then draws while still seated, so never its own host.
-        for child, host in parent_monitor_and_replace(
+        for key, host in parent_monitor_and_replace(
                 survivors, self.job.performance_cost_threshold,
                 self._free_hosts(), rng):
-            self._replace(child.key, "slow", host)
+            self._replace(key, "slow", host)
         for key in silent:
             free = self._free_hosts()
             if free:
@@ -612,7 +609,6 @@ class HarnessSim:
         dt = cfg.timeslice_length
         total = int(round(cfg.duration / dt))
         providers = [host.host_id for host in self.hosts]
-        drained = dict.fromkeys(providers, 0)
         open_loop = cfg.policy_kind is PolicyKind.OPEN_LOOP
         income = credits_to_micro(cfg.open_loop_income)
         incomes = {parent.parent_id: income for parent in self.parents}
@@ -642,8 +638,8 @@ class HarnessSim:
                     self.network.send(self.now, parent.parent_id, "sls",
                                       MessageKind.LOOKUP)
             if funding_tick:
-                for account in providers:
-                    drained[account] += self.ledger.balance(account)
+                for host in self.hosts:
+                    host.drained_micro += self.ledger.balance(host.host_id)
                 # A parent the dry admin pool could not pay gets no
                 # spending room this interval and counts a starvation.
                 unpaid = apply_funding_policy(self.ledger, "admin", incomes,
@@ -690,7 +686,7 @@ class HarnessSim:
         for host in self.hosts:
             host.settle()
         self.network.pump(self.now + self.config.message_latency * 2)
-        return self._report(drained)
+        return self._report()
 
     def _next_event(self, k: int, total: int, queried: bool,
                     periods: tuple[int, ...]) -> int:
@@ -712,7 +708,7 @@ class HarnessSim:
                                         following)
         return following
 
-    def _report(self, drained: dict) -> ScenarioReport:
+    def _report(self) -> ScenarioReport:
         unsettled = 0
         for host in self.hosts:
             for key, total in host.metered().items():
@@ -727,7 +723,7 @@ class HarnessSim:
                 for parent in self.parents],
             hosts=[HostRow(
                 host.host_id, host.alive, micro_to_credits(
-                    self.ledger.balance(host.host_id) + drained[host.host_id]),
+                    self.ledger.balance(host.host_id) + host.drained_micro),
                 (host.sched.slice_index / host.slices_alive
                  if host.slices_alive else 0.0), host.sched.slice_index)
                 for host in self.hosts],

@@ -112,6 +112,16 @@ class HostSimConfig:
     initial_funding_intervals: float = 1.0
     price_mode: PriceMode = PriceMode.SECOND_PRICE
 
+    @property
+    def start_balance(self) -> float:
+        """Every auction agent's opening balance, in intervals of the
+        host's *total* income.  At equilibrium an account holds about one
+        (it spends balance / slices-per-interval a slice, and the clearing
+        price is total income per slice), so starting there keeps a short
+        run from spending its first seconds saving up."""
+        return (sum(self.weights) * self.funding_mean_interval
+                * self.initial_funding_intervals)
+
     def validate(self) -> None:
         for name in ("num_timeslices", "timeslice_length"):
             if not 0 < getattr(self, name) < np.inf:
@@ -157,12 +167,10 @@ class HostSimConfig:
         if not np.isfinite(income):
             raise ConfigError(
                 f"weights: income over the run, {income}, overflows")
-        start = (sum(self.weights) * self.funding_mean_interval
-                 * self.initial_funding_intervals)
-        if not np.isfinite(start + income):
+        if not np.isfinite(self.start_balance + income):
             raise ConfigError(
-                f"initial_funding_intervals: start balance {start} plus "
-                f"income {income} overflows")
+                "initial_funding_intervals: start balance "
+                f"{self.start_balance} plus income {income} overflows")
 
 
 @dataclass
@@ -193,7 +201,7 @@ def gen_funding_events(
     if mean_interval <= 0:
         # Zero-length gaps would never reach the end of the run.
         raise ValueError(f"mean_interval {mean_interval} must be positive")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     events = []
     t = 0.0
     while True:
@@ -399,14 +407,6 @@ def _run_auction(config, funding_seed, queue):
         SchedulerConfig(timeslice_length=dt, price_mode=config.price_mode)
     )
     agent_seeds = funding_seed.spawn(len(config.weights))
-    # At equilibrium each account holds about one interval of the host's
-    # *total* income (spend per slice is balance / slices-per-interval,
-    # and the clearing price is total income per slice).  Starting there
-    # keeps the short run representative instead of spending its first
-    # seconds accumulating working capital.
-    start_balance = (
-        sum(config.weights) * interval * config.initial_funding_intervals
-    )
     deposits = []  # (slice, agent, amount); none lands after the last slice
     for pid, rate in enumerate(config.weights):
         if pid == 0 and yields:
@@ -416,7 +416,7 @@ def _run_auction(config, funding_seed, queue):
         sched.add_agent(
             AgentAccount(
                 agent_id=pid,
-                balance=start_balance,
+                balance=config.start_balance,
                 requested_cpu_seconds=wanted_fraction * slices_per_interval,
             ),
             runnable=not (pid == 0 and yields),
@@ -433,9 +433,8 @@ def _run_auction(config, funding_seed, queue):
                 for j in range(1, int(duration / period) + 1)
             ]
         else:
-            events = gen_funding_events(
-                rate, interval, duration,
-                np.random.default_rng(agent_seeds[pid]))
+            events = gen_funding_events(rate, interval, duration,
+                                        agent_seeds[pid])
         for t, amount in events:
             j = _first_slice_at(t, dt, n)
             if j < n:

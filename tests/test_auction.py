@@ -463,6 +463,17 @@ def test_reserved_slices_preempt_and_expire():
     assert sched.reservations == []
 
 
+def test_accept_rekeys_a_queued_bid():
+    sched = AuctionShareScheduler(FIRST)
+    sched.add_agent(account(0, 100.0, 10.0))
+    sched.add_agent(account(1, 60.0, 10.0))
+    sched.run_slice()  # 0 pays 10 and bids 9; the clearing price is 10
+    sched.accept(0, 0.5, 10)  # quoted 50: 0 holds 40 and bids 4
+    assert sched.accounts[0].balance == 40.0
+    assert sched.heap.peek() == (1, 6.0)
+    assert dict(zip(*sched.heap.entries()))[0] == 4.0
+
+
 def test_duplicate_agent_rejected():
     sched = AuctionShareScheduler(FIRST)
     sched.add_agent(account(0, 1.0))

@@ -527,6 +527,8 @@ BAD_DOCUMENTS = [
      {"harness": {"parents": [{"num_hosts": 0}]}}),
     ("harness.parents[0].total_credits",
      {"harness": {"parents": [{"total_credits": -4}]}}),
+    ("harness.parents[0].deadline_minutes: must be > 0",
+     {"harness": {"parents": [{"deadline_minutes": 0}]}}),
     ("harness.message_latency", {"harness": {"message_latency": -1}}),
     ("harness.drop_probability", {"harness": {"drop_probability": 2}}),
     ("harness.sls_ttl", {"harness": {"sls_ttl": 0}}),
@@ -715,6 +717,19 @@ def test_set_overrides_reach_the_run(tmp_path):
     assert rows[0][header.index("web_share")] == "0.7"
 
 
+def test_an_override_into_a_list_exits_2(tmp_path, capsys):
+    doc = smoke_doc()
+    doc["host"]["weights"] = [1, 2, 3, 4]
+    conf = write_json(tmp_path, doc)
+    rc = cli.main(["run", "--experiment", "host", "--config", conf,
+                   "--seed", "1", "--out", str(tmp_path / "o"),
+                   "--set", "host.weights.x=1"])
+    assert rc == 2
+    assert "'host.weights.x' descends into a non-object" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_env_var_names_output_dir(tmp_path, monkeypatch):
     conf = write_json(tmp_path, smoke_doc())
     monkeypatch.setenv("TYCOON_SIM_OUT", str(tmp_path / "from_env"))
@@ -750,6 +765,19 @@ def test_bad_seed_range_is_diagnosed(tmp_path, capsys):
     assert "--seeds" in capsys.readouterr().err
     # The widest range the bound allows still parses.
     assert len(cli._parse_seed_range(f"1..{MAX_SEEDS}")) == MAX_SEEDS
+
+
+@pytest.mark.parametrize("seeds,says", [("5", "wants A..B"),
+                                        ("a..b", "wants integer bounds")])
+def test_malformed_seed_range_exits_2_naming_it(tmp_path, capsys, seeds,
+                                                says):
+    conf = write_json(tmp_path, smoke_doc())
+    rc = cli.main(["run", "--experiment", "host", "--config", conf,
+                   "--seeds", seeds, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--seeds" in err and says in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_unwritable_output_is_diagnosed(tmp_path, capsys):
@@ -928,6 +956,22 @@ def test_table1_table_matches_pinned_digest(tmp_path):
                      "--seeds", "1..30", "--out", str(out)]) == 0
     data = (out / "table1.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == TABLE1_PIN_SHA256
+
+
+def test_table1_without_requests_has_no_latency(tmp_path):
+    # No row serves a request, so each latency mean and spread is taken
+    # over no values.
+    doc = smoke_doc()
+    doc["host"]["web"] = {"request_probability": 0}
+    conf = write_json(tmp_path, doc)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--experiment", "table1", "--config", conf,
+                     "--seeds", "1..2", "--out", str(out)]) == 0
+    _, header, rows = read_csv(out / "table1.csv")
+    latency = header.index("latency_ms_mean")
+    assert header[latency + 1] == "latency_ms_stddev"
+    assert len(rows) == 5
+    assert all(row[latency:latency + 2] == ["nan", "nan"] for row in rows)
 
 
 def test_table1_run_has_five_rows(tmp_path):

@@ -57,6 +57,18 @@ def test_lone_job_gets_the_whole_processor():
     assert report.no_negative_balances
 
 
+def test_a_kill_after_the_last_slice_still_happens():
+    # 0.995 s falls after slice 99 starts, the last of 1.0 s of 0.01 s
+    # slices, so the run loop never reaches it.
+    cfg = scenario(duration=1.0, kill_hosts=((0.995, 1),))
+    sim = HarnessSim(cfg)
+    report = sim.run()
+    assert [host.alive for host in report.hosts] == [True, False]
+    assert sim.hosts[1].slices_alive == 100
+    assert report.ledger_ok and report.no_negative_balances
+    assert report.final_total == report.total_issued
+
+
 def test_spend_equals_revenue_and_escrow_closes_the_books():
     # What the lone child paid for slices is exactly the provider's
     # revenue; whatever of the lump is unspent still sits in escrow.

@@ -382,9 +382,6 @@ def per_slice_auction(config, arrivals, offsets, funding_seed, queue,
         SchedulerConfig(timeslice_length=dt, price_mode=config.price_mode)
     )
     agent_seeds = funding_seed.spawn(len(config.weights))
-    start_balance = (
-        sum(config.weights) * interval * config.initial_funding_intervals
-    )
     events = {}
     for pid, rate in enumerate(config.weights):
         if pid == 0 and config.web.yields_cpu:
@@ -394,7 +391,7 @@ def per_slice_auction(config, arrivals, offsets, funding_seed, queue,
         sched.add_agent(
             AgentAccount(
                 agent_id=pid,
-                balance=start_balance,
+                balance=config.start_balance,
                 requested_cpu_seconds=wanted_fraction * slices_per_interval,
             ),
             runnable=not (pid == 0 and config.web.yields_cpu),

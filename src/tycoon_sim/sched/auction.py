@@ -233,12 +233,12 @@ class AuctionShareScheduler:
         bidding at round ``join`` (never if it is None), as
         ``set_runnable(until, True)`` before that round would; the window
         ends after the first round it wins.  Won or not, it leaves the
-        window asleep, out of the queue.  Between rounds only the
-        winner's balance and bid move, so the rounds run on local copies
-        of the bidders, and the heap is re-keyed and the clearing prices
-        observed once, after the last round.  A one-round window that
-        ``until`` does not join goes through ``run_slice``.  Needs a
-        queued bidder and no reservation.
+        window asleep, out of the queue.  Only the winner's balance and
+        bid move between rounds, so ``_hold`` runs them on local copies
+        of the bidders, once before the join and once from it; the heap
+        is re-keyed and the clearing prices observed once, at the end.
+        A one-round window that ``until`` does not join goes through
+        ``run_slice``.  Needs a queued bidder and no reservation.
         """
         heap = self.heap
         if (n < 1 or not heap or self.reservations
@@ -246,9 +246,9 @@ class AuctionShareScheduler:
             raise ValueError("run_rounds needs n >= 1, a queued bidder, "
                              "no reservations, no negative join and an "
                              "until that is not queued")
-        # ``until`` bids from round ``first`` on.  The rounds before run
-        # without testing for it: a test on every streak slows the runs
-        # that have no ``until``.
+        # ``until`` bids from round ``first`` on.  ``_hold`` tests each
+        # streak's winner for it, one int comparison, which an in-process
+        # A/B read as noise on every table1 row and on cluster-lossy.
         first = n if until is None or join is None else min(join, n)
         joins = first < n
         if n == 1 and not joins:
@@ -270,17 +270,12 @@ class AuctionShareScheduler:
         second_price = self.config.price_mode is PriceMode.SECOND_PRICE
         winners, payments = [], []
         win, pay = winners.append, payments.append
-        if first:
-            _hold(ids, bids, balances, requests, second_price, first,
-                  win, pay)
+        _hold(ids, bids, balances, requests, second_price, first, win, pay)
         if joins:
             ids.append(until)
             bids.append(balances[-1] / requests[-1])
-            for _ in range(n - first):
-                _hold(ids, bids, balances, requests, second_price, 1,
-                      win, pay)
-                if winners[-1] == until:
-                    break
+            _hold(ids, bids, balances, requests, second_price, n - first,
+                  win, pay, len(ids) - 1)
 
         for account, balance in zip(accounts, balances):
             account.balance = balance
@@ -294,10 +289,12 @@ class AuctionShareScheduler:
         return winners, payments
 
 
-def _hold(ids, bids, balances, requests, second_price, left, win, pay):
-    """Hold ``left`` full-length rounds among the bidders ``ids``, on the
-    local ``bids`` and ``balances``; ``win`` and ``pay`` take each
-    round's winner and payment."""
+def _hold(ids, bids, balances, requests, second_price, left, win, pay,
+          sleeper=-1):
+    """Hold up to ``left`` full-length rounds among the bidders ``ids``, on
+    the local ``bids`` and ``balances``, one winner's streak at a time;
+    ``win`` and ``pay`` take each round's winner and payment.  The first
+    round won by the bidder at position ``sleeper`` ends the run."""
     others = range(1, len(ids))
     while left:
         # The highest (bid, lowest id) wins, as at the top of the heap;
@@ -312,6 +309,8 @@ def _hold(ids, bids, balances, requests, second_price, left, win, pay):
             elif up_bid is None or (bid > up_bid if bid != up_bid
                                     else agent_id < up_id):
                 up_bid, up_id = bid, agent_id
+        if top == sleeper:
+            left = 1
         balance, requested = balances[top], requests[top]
         # Only the winner's bid moves, so it keeps winning for as long
         # as it still outranks the runner-up.

@@ -4,8 +4,9 @@ and the Hypothesis profiles the suite runs under.
 ``tier1``, the default, runs every property with its own example count,
 bounds and strategies, derandomized: each run of the suite tries the
 same examples.  ``deep`` (``--hypothesis-profile deep``) runs
-``DEEP_FACTOR`` times each property's examples from a random seed, which
-it prints in the header; ``--hypothesis-seed`` repeats a seed.
+``DEEP_FACTOR`` times each property's examples, and each state machine's
+steps too, from a random seed, which it prints in the header;
+``--hypothesis-seed`` repeats a seed.
 """
 
 import re
@@ -46,13 +47,23 @@ def pytest_report_header(config):
 
 
 def pytest_collection_modifyitems(config, items):
-    deep = config.getoption("hypothesis_profile") == "deep"
+    if config.getoption("hypothesis_profile") != "deep":
+        return
     scaled = set()
     for item in items:
         test = getattr(item, "obj", None)
+        machine = getattr(item, "cls", None)
         # A property's own settings are fixed when its module is imported;
-        # scale each one once, however many items parametrize it.
-        if deep and hasattr(test, "hypothesis") and test not in scaled:
+        # scale each one once, however many items parametrize it.  A state
+        # machine's test case runs under its class's settings.
+        if isinstance(getattr(machine, "settings", None), settings):
+            if machine not in scaled:
+                scaled.add(machine)
+                own = machine.settings
+                machine.settings = settings(
+                    own, max_examples=own.max_examples * DEEP_FACTOR,
+                    stateful_step_count=own.stateful_step_count * DEEP_FACTOR)
+        elif hasattr(test, "hypothesis") and test not in scaled:
             scaled.add(test)
             own = test._hypothesis_internal_use_settings
             test._hypothesis_internal_use_settings = settings(

@@ -17,6 +17,7 @@ from tycoon_sim.errors import (
     InvalidAmountError,
     InvalidElapsedError,
 )
+from tycoon_sim.sched import auction
 from tycoon_sim.sched.auction import (
     AuctionShareScheduler,
     compute_bid,
@@ -626,6 +627,15 @@ def sleeper_windows(draw):
 @example(SECOND, ([(1, 1.0, 10.0, None), (0, 40.0, 10.0, None)], 2, 0, 5))
 # Its join is the window's length: it never bids.
 @example(FIRST, ([(0, 40.0, 1.0, None), (1, 1.0, 1.0, None)], 6, 0, 6))
+# After its join, a queued bidder wins a streak of five rounds with the
+# sleeper as runner-up, paying the sleeper's bid.
+@example(SECOND, ([(0, 10.0, 10.0, None), (1, 100.0, 10.0, None)], 1, 0, 6))
+# It wins the window's last round.
+@example(FIRST, ([(0, 30.0, 10.0, None), (1, 40.0, 10.0, None)], 0, 0, 4))
+# It bids from the first round and never wins: two queued bidders trade
+# streaks over it.
+@example(FIRST, ([(0, 1.0, 10.0, None), (1, 40.0, 10.0, None),
+                  (2, 38.0, 10.0, None)], 0, 0, 12))
 def test_until_window_matches_one_slice_at_a_time(config, case):
     agents, join, before, n = case
     until = agents[0][0]
@@ -649,6 +659,31 @@ def test_until_window_matches_one_slice_at_a_time(config, case):
     # Every clearing price in the window, in order, bit for bit.
     assert ([bits(p) for p in held.price_stats._window]
             == [bits(p) for p in stepped.price_stats._window])
+
+
+def test_a_window_is_held_in_at_most_two_hold_calls(monkeypatch):
+    # One call holds the rounds before the join and one the rounds from
+    # it, whatever the streaks after the join.
+    calls = []
+
+    def spy(*args):
+        calls.append(args[5])  # the rounds left to hold
+        return hold(*args)
+
+    hold = auction._hold
+    monkeypatch.setattr(auction, "_hold", spy)
+    for join, held in ((None, [12]), (0, [0, 12]), (1, [1, 11]),
+                       (5, [5, 7]), (12, [12])):
+        sched = AuctionShareScheduler(FIRST)
+        # Agents 1 and 2 trade streaks over the sleeper 0, which never
+        # wins.
+        for acct in (account(0, 1.0, 10.0), account(1, 40.0, 10.0),
+                     account(2, 38.0, 10.0)):
+            sched.add_agent(acct, acct.agent_id != 0)
+        calls.clear()
+        winners, _ = sched.run_rounds(12, 0, join)
+        assert len(winners) == 12 and 0 not in winners
+        assert calls == held, join
 
 
 def test_until_window_rejects_a_negative_join():

@@ -607,6 +607,22 @@ def test_close_settles_the_final_spend_before_the_sweep():
     assert sim.parents[0].reclaimed_micro == MICRO - 700
 
 
+def test_the_bank_refuses_a_request_or_report_it_cannot_pay():
+    # Each refusal is counted and moves no credit.
+    sim = bank_with_escrow(MICRO)
+    ledger = dict(sim.ledger.accounts)
+    sim.bank.handle(Message(
+        delivery_time=0.0, sender="parent:0", seq=1, recipient="bank",
+        kind=MessageKind.FUND_AUCTIONEER,
+        payload=FundRequest("host:0", CHILD, ledger["parent:0"] + 1)))
+    assert sim.rejected_transfers == 1
+    # The escrow holds one lump; a report of more is not paid.
+    sim.bank.handle(report(MICRO + 1))
+    assert sim.rejected_transfers == 2
+    assert sim.ledger.accounts == ledger
+    assert sim.bank.escrows[CHILD].moved == 0
+
+
 def test_funding_that_arrives_after_its_kill_opens_no_seat():
     sim = bank_with_escrow(MICRO)  # the host's Fund is on its way
     user = sim.ledger.balance("parent:0")

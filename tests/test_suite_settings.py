@@ -1,9 +1,12 @@
 """The test suite's own settings in pyproject.toml."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+from conftest import DEEP_FACTOR
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +40,46 @@ def test_a_failing_property_does_not_end_the_run(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
+
+
+MACHINE_PROBE = '''
+from hypothesis import settings
+from hypothesis.stateful import RuleBasedStateMachine, rule
+
+
+class Probe(RuleBasedStateMachine):
+    @rule()
+    def step(self):
+        pass
+
+
+class TestProbe(Probe.TestCase):
+    settings = settings(max_examples=3, stateful_step_count=5)
+
+
+def test_print_the_machine_settings():
+    print("machine settings:", TestProbe.settings.max_examples,
+          TestProbe.settings.stateful_step_count)
+'''
+
+
+@pytest.mark.parametrize("profile, expected", [
+    ("tier1", (3, 5)), ("deep", (3 * DEEP_FACTOR, 5 * DEEP_FACTOR))])
+def test_the_deep_profile_scales_a_state_machine(tmp_path, profile, expected):
+    # The deep profile once scaled only the examples of @given tests, so
+    # a state machine ran as many examples and steps as in tier1.
+    probe = tmp_path / "test_probe.py"
+    probe.write_text(MACHINE_PROBE)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "tests"))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(PYPROJECT),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "-p",
+         "conftest", "--hypothesis-profile", profile, "-q", "-s",
+         str(probe)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert "machine settings: {} {}".format(*expected) in run.stdout, (
+        run.stdout + run.stderr)
+    assert "2 passed" in run.stdout
 
 
 def test_a_deselected_criterion_prints_no_acceptance_line():

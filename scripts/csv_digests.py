@@ -9,8 +9,14 @@ it writes is hashed, ``# config-hash:`` line included.  A check prints
 each file whose digest differs, is missing or is new, and exits 1 if
 there is one.  A change that must move no byte leaves the digest file
 as it is; a re-pin rewrites it in the same commit and says which
-digests moved and why.  About 25 s on a 2-core machine, two runs at a
+digests moved and why.  About 35 s on a 2-core machine, two runs at a
 time, most of it the 30-seed ``figure1``.
+
+``csv_digests.sha256`` is the only copy of each digest.  Tier-1's
+``test_set_matches_its_pinned_digests`` reads it too: it runs every set
+but the three slowest (its ``SLOW_SETS``) through ``cli.main`` in
+process, about 2 s on the same machine.  So a re-pin is ``--write``
+and nothing else.
 """
 
 from __future__ import annotations
@@ -41,6 +47,14 @@ SETS = {
     "figure1-default": ("figure1", {}, ["--seeds", "1..30"]),
     "figure1-market-sweep": ("figure1", CONFIGS / "market-sweep.json",
                              ["--seeds", "1..3"]),
+    # The runner steps interarrival -> seed -> behavior; this pins the
+    # behavior-major rows and their per-seed aggregation.
+    "figure1-repeated-load": ("figure1", {
+        "market": {"num_users": 20, "num_hosts": 4, "duration": 150},
+        # A repeated load keeps a row of its own.
+        "sweep": {"interarrivals": [100, 50, 20, 50]},
+    }, ["--seeds", "1..3"]),
+    "market-default": ("market", {}, ["--seeds", "1..5"]),
     "table1-host-table1": ("table1", CONFIGS / "host-table1.json",
                            ["--seeds", "1001..1020"]),
     "harness-default": ("harness", {}, []),
@@ -62,34 +76,38 @@ SETS = {
 }
 
 
-def config_file(name: str, scratch: Path) -> Path:
-    """The config file one set runs: its own, or its document written
-    into ``scratch``."""
-    config = SETS[name][1]
+def cli_args(name: str, scratch: Path,
+             seeds: list[str] | None = None) -> list[str]:
+    """The ``tycoon-sim run`` arguments of one set, ``seeds`` in place
+    of its own if given.  A config document is written into
+    ``scratch``, and the run writes into ``scratch / name``."""
+    experiment, config, own_seeds = SETS[name]
     if isinstance(config, dict):
-        path = scratch / f"{name}.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
-        return path
-    return config
+        doc, config = config, scratch / f"{name}.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+    return ["run", "--experiment", experiment, "--config", str(config),
+            *(own_seeds if seeds is None else seeds),
+            "--out", str(scratch / name)]
+
+
+def hashes(name: str, scratch: Path) -> dict[str, str]:
+    """``{"<set>/<file>": sha256}`` for every CSV one set's run wrote
+    into ``scratch``."""
+    return {f"{name}/{csv.name}": hashlib.sha256(csv.read_bytes()).hexdigest()
+            for csv in sorted((scratch / name).glob("*.csv"))}
 
 
 def run_set(name: str, scratch: Path) -> dict[str, str]:
-    """``{"<set>/<file>": sha256}`` for every CSV one set's run writes."""
-    experiment, _, seeds = SETS[name]
-    out = scratch / name
-    config = config_file(name, scratch)
+    """Run one set in a subprocess of this checkout's sources; hash it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "tycoon_sim.cli", "run",
-         "--experiment", experiment, "--config", str(config), *seeds,
-         "--out", str(out)],
+        [sys.executable, "-m", "tycoon_sim.cli", *cli_args(name, scratch)],
         env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{name}: exit {proc.returncode}\n{proc.stderr}")
-    return {f"{name}/{csv.name}": hashlib.sha256(csv.read_bytes()).hexdigest()
-            for csv in sorted(out.glob("*.csv"))}
+    return hashes(name, scratch)
 
 
 def read_digests() -> dict[str, str]:

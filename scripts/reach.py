@@ -26,7 +26,7 @@ import tempfile
 import trace
 from pathlib import Path
 
-from csv_digests import ROOT, SETS, config_file
+from csv_digests import ROOT, SETS, cli_args
 
 SRC = ROOT / "src"
 
@@ -41,11 +41,12 @@ class SrcOnly:
         return not filename.startswith(f"{SRC}{os.sep}")
 
 
-def few_seeds(name: str, seeds: list[str]) -> list[str]:
+def few_seeds(name: str) -> list[str]:
     """A set's ``--seeds A..B`` cut to ``A..A``, or to ``A..A+1`` for
     ``table1-default``, whose rows then take a spread over two seeds.
     A second seed of any other set reaches no further line, and one of
     ``figure1`` or ``cluster-lossy`` costs about 2 s under ``trace``."""
+    seeds = SETS[name][2]
     if seeds[:1] != ["--seeds"]:
         return seeds
     first = int(seeds[1].partition("..")[0])
@@ -57,12 +58,9 @@ def run_experiments(scratch: Path) -> None:
     """Run every pinned set at ``few_seeds``; raise if one fails."""
     from tycoon_sim import cli
 
-    for name, (experiment, _, seeds) in SETS.items():
-        argv = ["run", "--experiment", experiment,
-                "--config", str(config_file(name, scratch)),
-                *few_seeds(name, seeds), "--out", str(scratch / name)]
+    for name in SETS:
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(argv)
+            code = cli.main(cli_args(name, scratch, few_seeds(name)))
         if code != 0:
             raise SystemExit(f"{name}: exit {code}")
 

@@ -232,8 +232,8 @@ class _HostNode:
         return self.sched.slice_index
 
     def _ensure_child(self, child_key: str) -> _Seat:
-        # Funding can arrive ahead of the spawn message, so either one
-        # opens the seat, asleep; SPAWN_CHILD sets when it starts bidding.
+        # Funding can arrive ahead of the spawn message, so either one opens
+        # the seat, due at 0 s; SPAWN_CHILD, if it arrives, sets when it bids.
         seat = self.children.get(child_key)
         if seat is None:
             chunk = self.sim.config.funding_chunk_minutes * 60.0
@@ -498,12 +498,14 @@ class _BankNode:
         ledger = self.sim.ledger
         if kind is MessageKind.FUND_AUCTIONEER:
             key = p.child_key
-            # Test the ledger, not self.escrows: a close may already have
-            # booked a key whose funding was dropped, and its account
-            # still has to be opened.
-            if key not in ledger.accounts:
+            books = self.escrows.get(key)
+            if books is None:
                 ledger.create_account(key)
                 self.escrows[key] = _Escrow(msg.sender)
+            elif books.closed:
+                # A close came first, and a closed escrow never reopens.
+                self.sim.rejected_transfers += 1
+                return
             try:
                 bank_transfer(ledger, msg.sender, key, p.amount)
             except InsufficientBalanceError:

@@ -7,7 +7,7 @@ closes and parent closes.  The network it stands for may deliver the
 oldest message sent, any later one first (holding the older ones back),
 or any message sent before once more.  Each invariant is checked after
 every step, by name.  The plain machine asserts those that hold today;
-each of the two that fail is a strict ``xfail`` naming its defect.
+the one that fails is a strict ``xfail`` naming its defect.
 """
 
 from collections import Counter
@@ -41,10 +41,6 @@ EXPECTED_FAILURE = settings(MACHINE, phases=(Phase.explicit, Phase.reuse,
 
 class RequestMovedTwice(AssertionError):
     """A repeated FundRequest moved credits a second time."""
-
-
-class FundedAfterClose(AssertionError):
-    """A FundRequest that arrived after its key's close moved credits."""
 
 
 class BankProtocol(RuleBasedStateMachine):
@@ -109,10 +105,13 @@ class BankProtocol(RuleBasedStateMachine):
 
     def _refusal(self, msg: Message) -> str | None:
         """What the bank must refuse in ``msg``, if anything: a request
-        the parent cannot pay, or a report whose unpaid spend is more
-        than the open escrow holds."""
+        for a closed escrow or one the parent cannot pay, or a report
+        whose unpaid spend is more than the open escrow holds."""
         ledger = self.sim.ledger.accounts
         if msg.kind is FUND:
+            books = self.sim.bank.escrows.get(msg.payload.child_key)
+            if books is not None and books.closed:
+                return f"a request for a closed escrow: {msg}"
             if ledger[PARENT] < msg.payload.amount:
                 return f"a request beyond the parent's balance: {msg}"
         elif not msg.payload.close:
@@ -183,6 +182,15 @@ class BankProtocol(RuleBasedStateMachine):
                            if self.host_of[key] == host)
             assert self.sim.ledger.balance(host) <= reported, host
 
+    @invariant()
+    def a_closed_escrow_holds_zero_and_stays_closed(self):
+        # A close can arrive before its key's FundRequest, or between
+        # two deliveries of it.
+        for key in self.closed:
+            books = self.sim.bank.escrows[key]
+            held = self.sim.ledger.accounts.get(key, 0)
+            assert books.closed and not held, f"{key}: {books} holding {held}"
+
 
 class TestBankProtocol(BankProtocol.TestCase):
     settings = MACHINE
@@ -198,32 +206,9 @@ class RepeatedRequests(BankProtocol):
                 f"{[self.sent[seq] for seq in twice]}")
 
 
-class ClosedEscrows(BankProtocol):
-    # A repeated request can land in a closed escrow too; leaving
-    # repeats out keeps this failure to the order of messages alone.
-    REPEATS = (TRANSFER,)
-
-    @invariant()
-    def a_closed_escrow_holds_zero_and_stays_closed(self):
-        for key in self.closed:
-            books = self.sim.bank.escrows[key]
-            held = self.sim.ledger.accounts.get(key, 0)
-            if not books.closed or held:
-                raise FundedAfterClose(
-                    f"{key}'s escrow was closed, and is now "
-                    f"{'closed' if books.closed else 'open'}, holding {held}")
-
-
 @pytest.mark.xfail(strict=True, raises=RequestMovedTwice, reason=(
     "_BankNode.handle applies a repeated FundRequest again: one request "
     "delivered twice debits the parent two lumps"))
 class TestRepeatedFundRequest(RepeatedRequests.TestCase):
     settings = EXPECTED_FAILURE
 
-
-@pytest.mark.xfail(strict=True, raises=FundedAfterClose, reason=(
-    "a close that arrives before its FundRequest leaves the request free "
-    "to reopen the escrow (or fill the closed one), and nothing closes "
-    "it again"))
-class TestCloseBeforeFundRequest(ClosedEscrows.TestCase):
-    settings = EXPECTED_FAILURE

@@ -1,17 +1,13 @@
 """End-to-end harness scenarios: conservation, replacement, resilience."""
 
 import dataclasses
-import hashlib
-import json
 import math
-from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tycoon_sim import cli
 from tycoon_sim.errors import ConfigError, LedgerAuditError
 from tycoon_sim.harness.bank import MICRO, PolicyKind, credits_to_micro
 from tycoon_sim.harness.messages import (
@@ -579,53 +575,3 @@ def test_pinned_runs_scale_with_time(name):
     # Longer than the searched scenarios: these replace slow and silent
     # hosts, on lossy and open-loop networks.
     assert_time_scales(ScenarioConfig(**PINNED_HARNESS[name][0]), 4.0)
-
-
-# sha256 of each table one run of the benchmark's cluster-lossy config
-# writes at seed 1001.  Its 30 hosts hold event-free stretches of up to
-# 198 rounds with up to 6 bidders, where the configs pinned above have
-# at most 8 hosts and short stretches.
-LOSSY_CONFIG = (Path(__file__).resolve().parents[1] / "perfbench" / "configs"
-                / "cluster-lossy.json")
-LOSSY_1001_DIGESTS = {
-    "harness_users.csv":
-        "46006fe03213c3e75a95ef193726f850d8ca32bcf07209cb2f1e5f63dbd13c60",
-    "harness_hosts.csv":
-        "50a7830afc1ca0dbbcbba29c8324a80429531a2ee19d2d8c8d03e5d87bb6bb06",
-    "harness_events.csv":
-        "adc71e823c137395e4070032fc5ab28fb798145da3a56e2bf27794d11a70fc73",
-}
-
-
-def test_cluster_lossy_tables_match_pinned_digests(tmp_path):
-    assert cli.main(["run", "--experiment", "harness", "--config",
-                     str(LOSSY_CONFIG), "--seed", "1001",
-                     "--out", str(tmp_path)]) == 0
-    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in LOSSY_1001_DIGESTS} == LOSSY_1001_DIGESTS
-
-
-# sha256 of each table one open-loop run writes at seed 1.  Every other
-# pinned run is closed loop, so only this one covers the funding tick:
-# the admin's incomes, the drain of the providers and the settlements
-# on that tick.
-OPEN_LOOP_1_DIGESTS = {
-    "harness_users.csv":
-        "b4e616ac53b447a2067c26f0d83182bea7f454b4577bf16517d31d65882231d6",
-    "harness_hosts.csv":
-        "86c2e83a002f7e3ed96e9abaee56cd49359ea712caaa6e6f53bd186c28ba2efc",
-    "harness_events.csv":
-        "5b5907aea9b751e15ba2dcc01775a2f5a0df3903c53831787c3877b8ebec753c",
-}
-
-
-def test_open_loop_tables_match_pinned_digests(tmp_path):
-    config = tmp_path / "open-loop.json"
-    config.write_text(json.dumps({"harness": {
-        "policy_kind": "open_loop", "message_latency": 0.015,
-        "drop_probability": 0.1}}))
-    out = tmp_path / "out"
-    assert cli.main(["run", "--experiment", "harness", "--config",
-                     str(config), "--seed", "1", "--out", str(out)]) == 0
-    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in OPEN_LOOP_1_DIGESTS} == OPEN_LOOP_1_DIGESTS
